@@ -53,8 +53,6 @@ class RunConfig:
     seed: int
     tolerance_overrides: tuple[tuple[str, float], ...]
     output: str | None
-    deterministic: bool
-    workers: int
 
 
 def _parse_override(text: str) -> tuple[str, float]:
@@ -71,14 +69,7 @@ def _run_config(args) -> RunConfig:
     overrides = tuple(_parse_override(t) for t in (args.set_tolerance or []))
     for name, value in overrides:
         config.set_tolerance(name, value)
-    workers = max(1, args.parallel) if getattr(args, "parallel", None) else 1
-    return RunConfig(
-        seed=args.seed,
-        tolerance_overrides=overrides,
-        output=args.output,
-        deterministic=workers == 1,
-        workers=workers,
-    )
+    return RunConfig(seed=args.seed, tolerance_overrides=overrides, output=args.output)
 
 
 def _load_json(text: str, what: str):
@@ -110,7 +101,7 @@ def _base_report(command: str, cfg: RunConfig) -> dict:
     return {
         "command": command,
         "seed": cfg.seed,
-        "deterministic": cfg.deterministic,
+        "deterministic": True,
         "tolerances": config.snapshot(),
     }
 
@@ -235,15 +226,8 @@ def cmd_tape_run(cfg: RunConfig, args) -> int:
 def cmd_approx(cfg: RunConfig, args) -> int:
     target = operator_from_json(_load_json(args.target, "target"))
     gates = default_gate_set() if args.gates is None else gate_set_from_json(_load_json(args.gates, "gate set"))
-    if not args.epsilon > 0.0:
-        raise ContractError(f"epsilon must be positive, got {args.epsilon}")
     result = best_approximation(
-        target,
-        gates,
-        args.max_len,
-        epsilon=args.epsilon,
-        net_radius=args.net_radius,
-        workers=cfg.workers,
+        target, gates, args.max_len, epsilon=args.epsilon, net_radius=args.net_radius
     )
     report = _base_report("approx", cfg)
     report.update(
@@ -334,15 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="NAME=VALUE",
         help="override a named tolerance for this run (repeatable)",
-    )
-    common.add_argument(
-        "--parallel",
-        nargs="?",
-        const=4,
-        type=int,
-        default=None,
-        metavar="WORKERS",
-        help="expand search frontiers concurrently (results may vary run to run)",
     )
 
     parser = argparse.ArgumentParser(

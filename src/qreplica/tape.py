@@ -32,22 +32,35 @@ class Tape:
     head: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
-        if self.alphabet_size < 1:
-            raise ContractError(f"alphabet size must be positive, got {self.alphabet_size}")
-        if len(self.cells) < 1:
-            raise ContractError("a tape needs at least one cell")
+        n = _integer(self.alphabet_size, "alphabet size")
+        if n < 1:
+            raise ContractError(f"alphabet size must be positive, got {n}")
+        cells = []
         for i, c in enumerate(self.cells):
-            if not 0 <= c < self.alphabet_size:
-                raise ContractError(
-                    f"cell {i} holds symbol {c}, outside alphabet of size {self.alphabet_size}"
-                )
-        if not 0 <= self.head < len(self.cells):
-            raise ContractError(f"head {self.head} out of range for {len(self.cells)} cells")
+            if type(c) is not int:
+                c = _integer(c, f"cell {i}")
+            if not 0 <= c < n:
+                raise ContractError(f"cell {i} holds symbol {c}, outside alphabet of size {n}")
+            cells.append(c)
+        if not cells:
+            raise ContractError("a tape needs at least one cell")
+        head = _integer(self.head, "head")
+        if not 0 <= head < len(cells):
+            raise ContractError(f"head {head} out of range for {len(cells)} cells")
+        object.__setattr__(self, "alphabet_size", n)
+        object.__setattr__(self, "cells", tuple(cells))
+        object.__setattr__(self, "head", head)
 
     @property
     def length(self) -> int:
         return len(self.cells)
+
+
+def _integer(value, what: str) -> int:
+    """An int or numpy integer as a plain int; bools and floats are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def tape_index(t: Tape) -> int:

@@ -2,8 +2,11 @@
 
 Criteria 1-8 run once (module-scoped) through the same functions the
 ``verify`` subcommand uses; each test prints its own pass/fail line.
-Criterion 9 runs the CLI twice and demands byte-identical output.
+Criterion 9 runs the CLI twice and demands byte-identical output; the golden
+test compares that output with the report checked in under ``data/``.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +87,12 @@ def test_criterion_9_verify_reproducibility(capsys):
     assert code1 == 0 and code2 == 0
     assert first == second
     assert len(first.strip().splitlines()) == 9  # header + 8 criteria
+
+
+def test_verify_json_matches_golden_bytes(tmp_path, monkeypatch):
+    """``verify --seed 7 --json`` reproduces the checked-in report byte for byte."""
+    monkeypatch.delenv("QREPLICA_MAX_DIM", raising=False)
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--seed", "7", "--json", "--output", str(out)]) == 0
+    golden = Path(__file__).parent / "data" / "verify_seed7.json"
+    assert out.read_bytes() == golden.read_bytes()

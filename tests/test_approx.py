@@ -176,10 +176,13 @@ class TestApproximate:
             long = best_approximation(target, g, 12).achieved_distance
             assert long < short
 
-    def test_parallel_mode_is_sound(self):
+    def test_repeated_search_is_identical_and_sound(self):
         g = default_gate_set()
-        result = best_approximation(X, g, 10, workers=4)
-        assert abs(recomputed_distance(result, g) - result.achieved_distance) <= 1e-12
+        first = best_approximation(X, g, 10)
+        second = best_approximation(X, g, 10)
+        assert (first.symbols, first.expansions) == (second.symbols, second.expansions)
+        assert first.achieved_distance.hex() == second.achieved_distance.hex()
+        assert abs(recomputed_distance(first, g) - first.achieved_distance) <= 1e-12
 
     def test_contract_errors(self):
         g = default_gate_set()
@@ -191,6 +194,18 @@ class TestApproximate:
             approximate(identity(3), g, 0.1, 4)
         with pytest.raises(ContractError, match="max_len"):
             approximate(X, g, 0.1, 0)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
+    def test_search_inputs_must_be_positive_and_finite(self, bad):
+        g = default_gate_set()
+        with pytest.raises(ContractError, match="net radius"):
+            best_approximation(X, g, 4, net_radius=bad)
+        with pytest.raises(ContractError, match="epsilon"):
+            best_approximation(X, g, 4, epsilon=bad)
+        with pytest.raises(ContractError, match="epsilon"):
+            approximate(X, g, bad, 4)
+        with pytest.raises(ContractError, match="net radius"):
+            approximate(X, g, 0.1, 4, net_radius=bad)
 
     def test_tape_round_trip(self):
         g = default_gate_set()

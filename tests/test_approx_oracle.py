@@ -1,0 +1,155 @@
+"""The indexed, level-batched search against an unindexed linear scan.
+
+``linear_scan_search`` is a test-only reference: every product is compared
+against every kept product with one matrix-vector product, and each level is
+expanded pair by pair. Both searches must return the same symbols, the same
+expansion count and a bit-equal distance.
+
+Coarse net radii are where merges with the kept net and between products of
+one level actually happen; the Clifford+T gate sets produce exact duplicates
+and overlaps exactly at the merge threshold.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qreplica import config
+from qreplica.approx import (
+    GateSet,
+    best_approximation,
+    default_gate_set,
+    rotation_x,
+    rotation_y,
+    rotation_z,
+)
+from qreplica.linalg import Operator, random_unitary
+
+
+def linear_scan_search(target, g, max_len, *, epsilon=None, net_radius=None):
+    """Return (symbols, achieved_distance, expansions) of the best product."""
+    radius = config.DEFAULT_NET_RADIUS if net_radius is None else float(net_radius)
+    dim = g.dim
+    gate_mats = [gate.entries for gate in g.gates]
+    target_flat = target.entries.reshape(-1)
+    threshold = dim * (1.0 - radius * radius)
+
+    def distance_of(flat):
+        overlap = abs(np.vdot(flat, target_flat)) / dim
+        return float(np.sqrt(max(0.0, 1.0 - overlap)))
+
+    root = np.eye(dim, dtype=complex)
+    net = [root.reshape(-1)]
+    best_seq = ()
+    best_dist = distance_of(root.reshape(-1))
+    expansions = 1
+    frontier = [(root, ())]
+    for _ in range(max_len):
+        if epsilon is not None and best_dist <= epsilon:
+            break
+        if not frontier:
+            break
+        next_frontier = []
+        for matrix, seq in frontier:
+            for l, gate in enumerate(gate_mats):
+                product = gate @ matrix
+                flat = product.reshape(-1)
+                dist = distance_of(flat)
+                expansions += 1
+                if (dist, len(seq) + 1, seq + (l,)) < (best_dist, len(best_seq), best_seq):
+                    best_dist, best_seq = dist, seq + (l,)
+                if np.abs(np.array(net) @ flat.conj()).max() < threshold:
+                    net.append(flat)
+                    next_frontier.append((product, seq + (l,)))
+        frontier = next_frontier
+    return best_seq, best_dist, expansions
+
+
+X = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
+H = Operator(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0))
+S = Operator(np.diag([1.0, 1j]))
+T = Operator(np.diag([1.0, np.exp(0.25j * np.pi)]))
+
+# Longest search per (dim, gate count) that keeps the linear scan quick.
+MAX_LEN = {(2, 2): 9, (2, 3): 6, (3, 2): 7, (3, 3): 5, (4, 2): 7, (4, 3): 5}
+
+
+def assert_same_search(target, g, max_len, **kwargs):
+    symbols, distance, expansions = linear_scan_search(target, g, max_len, **kwargs)
+    result = best_approximation(target, g, max_len, **kwargs)
+    assert result.symbols == symbols
+    assert result.expansions == expansions
+    assert result.achieved_distance.hex() == distance.hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3, 4]),
+    n_gates=st.sampled_from([2, 3]),
+    radius=st.sampled_from([1e-3, 0.05, 0.2]),
+    epsilon=st.sampled_from([None, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matches_linear_scan_on_random_gates(dim, n_gates, radius, epsilon, seed):
+    rng = np.random.default_rng(seed)
+    g = GateSet(tuple(random_unitary(dim, rng) for _ in range(n_gates)))
+    target = random_unitary(dim, rng)
+    assert_same_search(target, g, MAX_LEN[dim, n_gates], epsilon=epsilon, net_radius=radius)
+
+
+@settings(max_examples=10, deadline=None)
+@given(radius=st.sampled_from([1e-3, 0.05, 0.2]), seed=st.integers(0, 2**32 - 1))
+def test_matches_linear_scan_on_default_gates(radius, seed):
+    target = random_unitary(2, np.random.default_rng(seed))
+    assert_same_search(target, default_gate_set(), 10, net_radius=radius)
+
+
+@pytest.mark.parametrize(
+    "gates, radius",
+    [
+        ((H, S), float(np.sqrt(1.0 - 1.0 / np.sqrt(2.0)))),
+        ((H, S, T), float(np.sqrt(1.0 - 1.0 / np.sqrt(2.0)))),
+        ((H, S, T), 1e-9),
+        ((H, T), 0.05),
+    ],
+)
+@pytest.mark.parametrize("target", [X, H, T])
+def test_matches_linear_scan_on_clifford_t(gates, radius, target):
+    assert_same_search(target, GateSet(gates), 9 if len(gates) == 2 else 6, net_radius=radius)
+
+
+def test_level_best_is_chosen_by_exact_distance():
+    """Two gates one ulp apart often tie in exact distance while their batched
+    overlaps rank them the other way round; the first gate must still win."""
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        first = random_unitary(2, rng).entries
+        second = first.copy()
+        second[0, 0] = np.nextafter(first[0, 0].real, 2.0) + 1j * first[0, 0].imag
+        target = random_unitary(2, rng)
+        assert_same_search(target, GateSet((Operator(first), Operator(second))), 1)
+
+
+PINNED_AT_LENGTH_14 = {
+    "flip_x": (X, (1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 1, 1), 32559, "0x1.a6b8a1ace12d5p-6"),
+    "hadamard": (H, (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0), 32559, "0x1.61b43194784a3p-5"),
+    "euler": (
+        Operator(rotation_z(0.3).entries @ rotation_y(1.1).entries @ rotation_x(2.5).entries),
+        (0, 0, 1, 1, 0, 1, 1, 1, 1, 1, 0, 1, 0),
+        32559,
+        "0x1.66f572a2d23d9p-6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_AT_LENGTH_14))
+def test_length_14_results_are_pinned(name):
+    """Recorded with the unindexed search at the default net radius."""
+    target, symbols, expansions, distance = PINNED_AT_LENGTH_14[name]
+    result = best_approximation(target, default_gate_set(), 14)
+    assert (result.symbols, result.expansions, result.achieved_distance.hex()) == (
+        symbols,
+        expansions,
+        distance,
+    )

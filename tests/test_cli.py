@@ -136,6 +136,11 @@ class TestTapeRun:
     def test_bad_tape_text(self, capsys, golden_gates_file):
         assert cli.main(["tape-run", "--tape", "n=2;cells=", "--gates", golden_gates_file]) == 2
 
+    @pytest.mark.parametrize("tape", ['{"n":2,"cells":[1.9,true]}', '{"n":2.0,"cells":[1,0]}'])
+    def test_non_integer_tape_json(self, capsys, golden_gates_file, tape):
+        assert cli.main(["tape-run", "--tape", tape, "--gates", golden_gates_file]) == 2
+        assert "integer" in capsys.readouterr().err
+
 
 class TestApprox:
     def test_found(self, capsys, x_target_file):
@@ -179,16 +184,41 @@ class TestApprox:
     def test_bad_epsilon(self, capsys, x_target_file):
         assert cli.main(["approx", "--target", x_target_file, "--epsilon", "0", "--max-len", "4"]) == 2
 
-    def test_parallel_mode_finds_a_sound_result(self, capsys, x_target_file):
-        """Parallel expansion may visit nodes in another order but stays sound."""
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--epsilon", "0.2", "--net-radius", "nan"],
+            ["--epsilon", "0.2", "--net-radius", "inf"],
+            ["--epsilon", "inf"],
+            ["--epsilon", "nan"],
+        ],
+    )
+    def test_non_finite_search_inputs(self, capsys, x_target_file, extra):
+        code = cli.main(["approx", "--target", x_target_file, "--max-len", "4", *extra])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_parallel_option_is_gone_and_reports_are_deterministic(
+        self, capsys, x_target_file, automaton_file
+    ):
+        """Searches run one way only: --parallel is refused, and every report says so."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["approx", "--target", x_target_file, "--epsilon", "0.2", "--max-len", "8", "--parallel"])
+        assert exc.value.code == 2
+        capsys.readouterr()
         code, report = run_json(
-            capsys,
-            ["approx", "--target", x_target_file, "--epsilon", "0.2", "--max-len", "8", "--parallel"],
+            capsys, ["approx", "--target", x_target_file, "--epsilon", "0.2", "--max-len", "8"]
         )
         assert code == 0
-        assert report["deterministic"] is False
+        assert report["deterministic"] is True
         assert report["found"] is True
         assert report["result"]["achieved_distance"] <= 0.2
+        code, clone = run_json(capsys, ["clone-demo", "--n", "2", "--basis-index", "1"])
+        assert code == 0 and clone["deterministic"] is True
+        code, lines = run_json_lines(
+            capsys, ["replicate", "--automaton", automaton_file, "--generations", "1"]
+        )
+        assert code == 0 and lines[0]["deterministic"] is True
 
 
 class TestReplicate:

@@ -77,6 +77,28 @@ class TestTapeType:
         assert Tape(2, (1, 0)) == Tape(2, (1, 0))
         assert Tape(2, (1, 0)) != Tape(2, (0, 1))
 
+    def test_numpy_integers_become_plain_ints(self):
+        t = Tape(np.int64(3), (np.int32(2), np.uint8(0)), np.int64(1))
+        assert t == Tape(3, (2, 0), 1)
+        assert all(type(v) is int for v in (t.alphabet_size, t.head, *t.cells))
+
+    @pytest.mark.parametrize(
+        "args, what",
+        [
+            ((2, (1.9, 1)), "cell 0"),
+            ((2, (1, True)), "cell 1"),
+            ((2, (np.float64(1.0),)), "cell 0"),
+            ((2, ("1",)), "cell 0"),
+            ((2.0, (1,)), "alphabet size"),
+            ((True, (0,)), "alphabet size"),
+            ((2, (1, 0), 1.0), "head"),
+            ((2, (1, 0), False), "head"),
+        ],
+    )
+    def test_non_integers_are_refused(self, args, what):
+        with pytest.raises(ContractError, match=what):
+            Tape(*args)
+
 
 class TestTapeState:
     def test_single_cell(self):
@@ -273,3 +295,16 @@ class TestTextAndJson:
     def test_json_missing_keys(self):
         with pytest.raises(InputError):
             tape_from_json({"cells": [0, 1]})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 2, "cells": [1.9, True]},
+            {"n": 2.0, "cells": [1, 0]},
+            {"n": 2, "cells": [1, 0], "head": 0.0},
+            {"n": "2", "cells": [1]},
+        ],
+    )
+    def test_json_non_integers_are_input_errors(self, obj):
+        with pytest.raises(InputError, match="integer"):
+            tape_from_json(obj)
