@@ -15,9 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import config
-from .errors import CapacityError, ContractError
-from .linalg import Operator, StateVector
+from .errors import ContractError
+from .linalg import Operator, StateVector, _check_capacity, _operator_with_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,16 +120,17 @@ def apply_controlled(c: ControlledOperator, joint: StateVector) -> StateVector:
 
 
 def densify(c: ControlledOperator) -> Operator:
-    """Materialize Σ_l |l⟩⟨l| ⊗ blocks[l] as a dense matrix (cross-check oracle)."""
+    """Materialize Σ_l |l⟩⟨l| ⊗ blocks[l] as a dense matrix (cross-check oracle).
+
+    Its residual is the largest block residual: A†A is block diagonal with blocks B_l†B_l.
+    """
     dim = c.joint_dim
-    limit = config.max_dim()
-    if dim > limit:
-        raise CapacityError(f"dense controlled operator needs dim {dim}, exceeding MAX_DIM={limit}")
+    _check_capacity(dim, "dense controlled operator")
     m = c.target_dim
     matrix = np.zeros((dim, dim), dtype=complex)
     for l, block in enumerate(c.blocks):
         matrix[l * m : (l + 1) * m, l * m : (l + 1) * m] = block.entries
-    return Operator(matrix)
+    return _operator_with_residual(matrix, max(block.unitary_residual for block in c.blocks))
 
 
 def controlled_to_json(c: ControlledOperator) -> dict:

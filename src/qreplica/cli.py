@@ -43,7 +43,7 @@ from .tape import (
     tape_index,
 )
 
-JOINT_CHECK_LIMIT = 2**10
+_OVER_JOINT_LIMIT = f"joint space exceeds 2^{config.JOINT_CHECK_LIMIT.bit_length() - 1} amplitudes"
 
 
 @dataclass(frozen=True)
@@ -173,14 +173,14 @@ def cmd_cond_dyn(cfg: RunConfig, args) -> int:
             "output": state_to_json(out),
         }
     )
-    if cd.joint_dim <= JOINT_CHECK_LIMIT:
+    if cd.joint_dim <= config.JOINT_CHECK_LIMIT:
         dense_out = apply(densify(cd), joint_in)
         deviation = float(np.max(np.abs(dense_out.amps - out.amps)))
         report["dense_check"] = {"performed": True, "max_deviation": deviation}
     else:
         report["dense_check"] = {
             "performed": False,
-            "note": "joint space exceeds 2^10 amplitudes; block-form result only",
+            "note": f"{_OVER_JOINT_LIMIT}; block-form result only",
         }
     _emit_report(report, cfg.output)
     return 0
@@ -203,7 +203,7 @@ def cmd_tape_run(cfg: RunConfig, args) -> int:
         }
     )
     joint_dim = t.alphabet_size**t.length * payload.dim
-    if joint_dim <= JOINT_CHECK_LIMIT:
+    if joint_dim <= config.JOINT_CHECK_LIMIT:
         joint = joint_tape_evolution(t, gates.gates, payload)
         rows = joint.amps.reshape(t.alphabet_size**t.length, payload.dim)
         others = np.delete(rows, tape_index(t), axis=0)
@@ -217,7 +217,7 @@ def cmd_tape_run(cfg: RunConfig, args) -> int:
     else:
         report["joint_check"] = {
             "performed": False,
-            "note": "joint space exceeds 2^10 amplitudes; product-form verification only",
+            "note": f"{_OVER_JOINT_LIMIT}; product-form verification only",
         }
     _emit_report(report, cfg.output)
     return 0

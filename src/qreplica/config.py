@@ -44,6 +44,9 @@ DEFAULT_MAX_DIM = 2**20
 
 ENV_MAX_DIM = "QREPLICA_MAX_DIM"
 
+# Joint and dense cross-checks run up to this many amplitudes (a power of two).
+JOINT_CHECK_LIMIT = 2**10
+
 _TOLERANCE_NAMES = (
     "NORM_TOL",
     "UNITARY_TOL",

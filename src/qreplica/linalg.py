@@ -90,6 +90,16 @@ class Operator:
         return self.unitary_residual <= tol
 
 
+def _operator_with_residual(entries: np.ndarray, residual: float) -> Operator:
+    """Operator from a finite complex square array the caller owns (frozen, not
+    copied) and its max|A†A − I|, derived by the caller from structure."""
+    entries.setflags(write=False)
+    op = object.__new__(Operator)
+    object.__setattr__(op, "entries", entries)
+    object.__setattr__(op, "unitary_residual", float(residual))
+    return op
+
+
 def basis_state(dim: int, index: int) -> StateVector:
     """The ``index``-th standard unit vector in ``dim`` dimensions."""
     if dim < 1:

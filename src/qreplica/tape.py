@@ -19,8 +19,8 @@ import numpy as np
 
 from . import config
 from .basis_ops import apply_controlled, cloner
-from .errors import CapacityError, ContractError, InputError, ReplicationIntegrityError
-from .linalg import StateVector, apply, basis_state, fidelity, tensor_state
+from .errors import ContractError, InputError, ReplicationIntegrityError
+from .linalg import StateVector, _check_capacity, apply, basis_state, fidelity, tensor_state
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,7 @@ def tape_to_state(t: Tape) -> StateVector:
     and does not enter the state.
     """
     dim = t.alphabet_size**t.length
-    limit = config.max_dim()
-    if dim > limit:
-        raise CapacityError(f"tape state needs {dim} amplitudes, exceeding MAX_DIM={limit}")
+    _check_capacity(dim, "tape state")
     return basis_state(dim, tape_index(t))
 
 
@@ -123,44 +121,28 @@ def run_tape(t: Tape, gates, payload: StateVector) -> StateVector:
     return out
 
 
-def _rotation_image(n: int, s: int) -> np.ndarray:
-    """Index image of the tape-register rotation that brings cell 2 to cell 1.
-
-    Digit i of a tape index (base n, least significant first) is cell i+1;
-    the rotation maps digit pattern d to d' with d'_j = d_{(j+1) mod s}.
-    """
-    idx = np.arange(n**s)
-    image = np.zeros_like(idx)
-    for j in range(s):
-        image += ((idx // n ** ((j + 1) % s)) % n) * n**j
-    return image
-
-
 def joint_tape_evolution(t: Tape, gates, payload: StateVector) -> StateVector:
     """Literal joint evolution on the full tape ⊗ payload space.
 
     Each of the s steps applies the gate conditioned on cell 1 (the interaction
-    site), then rotates the tape register one cell as a permutation unitary.
-    After s steps the tape factor is back in its initial basis state and the
-    payload has absorbed the cell-ordered gate product.
+    site), then rotates the tape register one cell as a permutation unitary,
+    written as the output layout: (n^(s-1), n) → (n, n^(s-1)). After s steps
+    the tape factor is back in its initial basis state and the payload has
+    absorbed the cell-ordered gate product.
     """
     _check_gates(t, gates, payload.dim)
     if t.head != 0:
         raise ContractError(f"joint evolution starts at cell 1, got head {t.head}")
     n, s, m = t.alphabet_size, t.length, payload.dim
-    dim = n**s * m
-    limit = config.max_dim()
-    if dim > limit:
-        raise CapacityError(f"joint space needs {dim} amplitudes, exceeding MAX_DIM={limit}")
+    _check_capacity(n**s * m, "joint space")
     stack = np.stack([gate.entries for gate in gates])
-    image = _rotation_image(n, s)
     joint = np.kron(tape_to_state(t).amps, payload.amps)
     for _ in range(s):
         slices = joint.reshape(n ** (s - 1), n, m)
-        slices = np.einsum("lij,rlj->rli", stack, slices)
-        rows = slices.reshape(n**s, m)
-        rotated = np.empty_like(rows)
-        rotated[image] = rows
+        rotated = np.empty((n, n ** (s - 1), m), dtype=complex)
+        # einsum, not matmul: BLAS and numpy's complex multiply use FMA and change the bits.
+        for l in range(n):
+            np.einsum("ij,rj->ri", stack[l], slices[:, l, :], out=rotated[l])
         joint = rotated.reshape(-1)
     return StateVector(joint)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .approx import GateSet, best_approximation, default_gate_set
 from .automaton import (
     Automaton,
@@ -130,7 +131,7 @@ def criterion_tape_theorem(rng: np.random.Generator) -> CriterionResult:
             n = int(rng.integers(2, 4))
             m = int(rng.integers(2, 5))
             s = int(rng.integers(1, 6))
-            if n**s * m <= 2**10:
+            if n**s * m <= config.JOINT_CHECK_LIMIT:
                 break
         gates = tuple(random_unitary(m, rng) for _ in range(n))
         cells = tuple(int(rng.integers(0, n)) for _ in range(s))

@@ -83,7 +83,7 @@ def assert_same_search(target, g, max_len, **kwargs):
     assert result.achieved_distance.hex() == distance.hex()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     dim=st.sampled_from([2, 3, 4]),
     n_gates=st.sampled_from([2, 3]),
@@ -98,7 +98,7 @@ def test_matches_linear_scan_on_random_gates(dim, n_gates, radius, epsilon, seed
     assert_same_search(target, g, MAX_LEN[dim, n_gates], epsilon=epsilon, net_radius=radius)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(radius=st.sampled_from([1e-3, 0.05, 0.2]), seed=st.integers(0, 2**32 - 1))
 def test_matches_linear_scan_on_default_gates(radius, seed):
     target = random_unitary(2, np.random.default_rng(seed))

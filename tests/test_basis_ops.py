@@ -21,7 +21,7 @@ from qreplica.basis_ops import (
     densify,
     shift_power,
 )
-from qreplica.errors import ContractError, InputError
+from qreplica.errors import CapacityError, ContractError, InputError
 from qreplica.linalg import (
     Operator,
     StateVector,
@@ -241,6 +241,31 @@ class TestDensify:
         np.testing.assert_allclose(
             densify(conditional_dynamics(blocks)).entries, dense_controlled(blocks), atol=1e-15
         )
+
+    def test_certificate_matches_dense_residual(self, rng):
+        """The block-derived residual equals max|A†A − I| of the dense matrix.
+
+        Blocks are scaled off the unit circle by up to 4e-11 so the residual
+        is not just rounding noise; it stays below UNITARY_TOL.
+        """
+        for _ in range(40):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            blocks = tuple(
+                Operator(random_unitary(m, rng).entries * (1.0 + rng.uniform(0.0, 4e-11)))
+                for _ in range(n)
+            )
+            dense = densify(conditional_dynamics(blocks))
+            a = dense_controlled(blocks)
+            recomputed = float(np.max(np.abs(a.conj().T @ a - np.eye(n * m))))
+            assert abs(dense.unitary_residual - recomputed) <= 1e-15
+            assert dense.is_unitary == (recomputed <= config.UNITARY_TOL)
+            assert not dense.entries.flags.writeable
+
+    def test_capacity_error(self, monkeypatch):
+        monkeypatch.setenv(config.ENV_MAX_DIM, "8")
+        densify(cloner(2))
+        with pytest.raises(CapacityError, match="dense controlled operator needs 9 amplitudes"):
+            densify(cloner(3))
 
 
 class TestControlledJson:

@@ -111,6 +111,16 @@ class TestCondDyn:
         amps = [complex(re, im) for re, im in report["output"]["amps"]]
         assert abs(amps[3]) == pytest.approx(1.0, abs=1e-12)  # |1>|0> -> |1>|1>
 
+    def test_dense_check_skipped_when_large(self, capsys, tmp_path):
+        blocks = tmp_path / "blocks.json"
+        blocks.write_text(json.dumps([operator_to_json(Operator(np.eye(32)))] * 33))
+        code, report = run_json(capsys, ["cond-dyn", "--blocks", str(blocks), "--control", "0"])
+        assert code == 0
+        assert report["dense_check"] == {
+            "performed": False,
+            "note": "joint space exceeds 2^10 amplitudes; block-form result only",
+        }
+
 
 class TestTapeRun:
     def test_joint_check_small(self, capsys, golden_gates_file):
@@ -131,7 +141,9 @@ class TestTapeRun:
         )
         assert code == 0
         assert report["joint_check"]["performed"] is False
-        assert "product-form" in report["joint_check"]["note"]
+        assert report["joint_check"]["note"] == (
+            "joint space exceeds 2^10 amplitudes; product-form verification only"
+        )
 
     def test_bad_tape_text(self, capsys, golden_gates_file):
         assert cli.main(["tape-run", "--tape", "n=2;cells=", "--gates", golden_gates_file]) == 2

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import qreplica.tape
+from qreplica import config
 from qreplica.basis_ops import conditional_dynamics
-from qreplica.errors import ContractError, InputError, ReplicationIntegrityError
+from qreplica.errors import CapacityError, ContractError, InputError, ReplicationIntegrityError
 from qreplica.linalg import (
     Operator,
     basis_state,
@@ -131,6 +132,12 @@ class TestTapeState:
             seen.add(tape_index(Tape(3, cells)))
         assert len(seen) == 27
 
+    def test_capacity_error(self, monkeypatch):
+        monkeypatch.setenv(config.ENV_MAX_DIM, "8")
+        tape_to_state(Tape(2, (1, 0, 1)))
+        with pytest.raises(CapacityError, match="tape state needs 16 amplitudes"):
+            tape_to_state(Tape(2, (1, 0, 1, 1)))
+
 
 class TestShift:
     def test_single_cell_fixed_point(self):
@@ -238,6 +245,13 @@ class TestJointEvolution:
         payload = random_state(3, rng)
         final = joint_tape_evolution(t, gates, payload)
         np.testing.assert_allclose(final.amps, joint_oracle(t, gates, payload), atol=1e-12)
+
+    def test_capacity_error(self, monkeypatch, rng):
+        """The tape state alone fits; the joint space is 4 times larger."""
+        monkeypatch.setenv(config.ENV_MAX_DIM, "16")
+        gates = tuple(random_unitary(4, rng) for _ in range(2))
+        with pytest.raises(CapacityError, match="joint space needs 32 amplitudes"):
+            joint_tape_evolution(Tape(2, (1, 0, 1)), gates, basis_state(4, 0))
 
 
 class TestReplicateTape:
