@@ -29,8 +29,8 @@ import numpy as np
 
 from . import config
 from .errors import ContractError
-from .linalg import Operator, phase_invariant_distance
-from .tape import Tape
+from .linalg import Operator, apply_sequence, phase_invariant_distance
+from .tape import Tape, _integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,10 +121,7 @@ def sequence_unitary(t: Tape, g: GateSet) -> Operator:
         raise ContractError(
             f"tape alphabet {t.alphabet_size} does not match gate set size {g.n}"
         )
-    matrix = np.eye(g.dim, dtype=complex)
-    for c in t.cells:
-        matrix = matrix @ g.gates[c].entries
-    product = Operator(matrix)
+    product = product_operator(reversed(t.cells), g)
     if not product.is_unitary_within(max(config.UNITARY_TOL, t.length * 1e-13)):
         raise ContractError(
             f"product of {t.length} gates drifted from unitarity "
@@ -135,10 +132,8 @@ def sequence_unitary(t: Tape, g: GateSet) -> Operator:
 
 def product_operator(symbols, g: GateSet) -> Operator:
     """Product of gates in application order; the empty product is the identity."""
-    matrix = np.eye(g.dim, dtype=complex)
-    for c in symbols:
-        matrix = g.gates[c].entries @ matrix
-    return Operator(matrix)
+    matrices = [gate.entries for gate in g.gates]
+    return Operator(apply_sequence(matrices, symbols, np.eye(g.dim, dtype=complex)))
 
 
 def recomputed_distance(result: ApproxResult, g: GateSet) -> float:
@@ -413,10 +408,11 @@ def gate_set_from_json(obj) -> GateSet:
         raise InputError("gate set: 'labels' must be a list of strings")
     try:
         result = GateSet(tuple(operator_from_json(g) for g in gates), tuple(labels))
+        dim = _integer(obj.get("dim", result.dim), "dim")
     except ContractError as exc:
         raise InputError(f"gate set: {exc}") from exc
-    if "dim" in obj and obj["dim"] != result.dim:
-        raise InputError(f"gate set: dim={obj['dim']} inconsistent with gates ({result.dim})")
+    if dim != result.dim:
+        raise InputError(f"gate set: dim={dim} inconsistent with gates ({result.dim})")
     return result
 
 

@@ -35,12 +35,10 @@ from .errors import (
     InputError,
     UndecodableProgramError,
 )
-from .linalg import Operator, StateVector, apply, basis_state, fidelity, identity
-from .tape import Tape, format_tape, parse_tape, replicate_tape, run_tape, tape_to_state
+from .linalg import Operator, StateVector, apply_sequence, basis_state, fidelity, identity
+from .tape import Tape, _integer, format_tape, parse_tape, replicate_tape, tape_to_state
 
 SEPARATOR = 0
-
-_PHASES = ("translated", "replicating")
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +54,10 @@ class ProgramRegistry:
 
     def __init__(self, gate_set: GateSet, segments: Mapping[str, Sequence[int]]):
         object.__setattr__(self, "gate_set", gate_set)
-        normalized = tuple((str(name), tuple(int(c) for c in cells)) for name, cells in dict(segments).items())
+        normalized = tuple(
+            (str(name), tuple(_integer(c, f"segment {name!r} symbol") for c in cells))
+            for name, cells in dict(segments).items()
+        )
         names = [name for name, _ in normalized]
         if len(set(names)) != len(names):
             raise ContractError("segment names must be unique")
@@ -153,8 +154,9 @@ def translate(t: Tape, registry: ProgramRegistry) -> StateVector:
         raise UndecodableProgramError(
             f"tape alphabet {t.alphabet_size} does not match gate set size {registry.gate_set.n}"
         )
+    matrices = [gate.entries for gate in registry.gate_set.gates]
     blank = basis_state(registry.gate_set.dim, 0)
-    return run_tape(Tape(t.alphabet_size, t.cells, 0), registry.gate_set.gates, blank)
+    return StateVector(apply_sequence(matrices, reversed(t.cells), blank.amps))
 
 
 def scattering_apply(
@@ -174,7 +176,8 @@ def scattering_apply(
     dim = program.dim
     length = 0
     probe = 1
-    while probe < dim:
+    # Powers of a 1-symbol alphabet never grow: only the 1-dim program decodes.
+    while probe < dim and n > 1:
         probe *= n
         length += 1
     if probe != dim:
@@ -190,12 +193,9 @@ def scattering_apply(
         raise ContractError(
             f"data state dim {psi.dim} does not match gate dim {registry.gate_set.dim}"
         )
-    out = psi
-    index = top
-    for _ in range(length):
-        out = apply(registry.gate_set.gates[index % n], out)
-        index //= n
-    return out
+    matrices = [gate.entries for gate in registry.gate_set.gates]
+    digits = [top // n**k % n for k in range(length)]
+    return StateVector(apply_sequence(matrices, digits, psi.amps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,13 +206,12 @@ class Automaton:
     payload: StateVector
     registry: ProgramRegistry
     generation: int = 0
-    phase: str = "translated"
 
     def __post_init__(self) -> None:
-        if self.phase not in _PHASES:
-            raise ContractError(f"phase must be one of {_PHASES}, got {self.phase!r}")
-        if self.generation < 0:
-            raise ContractError(f"generation must be non-negative, got {self.generation}")
+        generation = _integer(self.generation, "generation")
+        if generation < 0:
+            raise ContractError(f"generation must be non-negative, got {generation}")
+        object.__setattr__(self, "generation", generation)
         if self.tape.alphabet_size != self.registry.gate_set.n:
             raise ContractError(
                 f"tape alphabet {self.tape.alphabet_size} does not match "
@@ -223,30 +222,26 @@ class Automaton:
                 f"payload dim {self.payload.dim} does not match "
                 f"gate dim {self.registry.gate_set.dim}"
             )
-        if self.phase == "translated":
-            expected = translate(self.tape, self.registry)
-            achieved = fidelity(self.payload, expected)
-            if achieved < 1.0 - config.TRANSLATED_TOL:
-                raise ContractError(
-                    f"translated-phase payload has fidelity {achieved!r} to the tape's "
-                    "translation, below 1 - TRANSLATED_TOL"
-                )
+        achieved = fidelity(self.payload, translate(self.tape, self.registry))
+        if achieved < 1.0 - config.TRANSLATED_TOL:
+            raise ContractError(
+                f"payload has fidelity {achieved!r} to the tape's translation, "
+                "below 1 - TRANSLATED_TOL"
+            )
 
     @classmethod
     def from_registry(cls, registry: ProgramRegistry, generation: int = 0) -> "Automaton":
         t = encode_tape(registry)
-        return cls(t, translate(t, registry), registry, generation, "translated")
+        return cls(t, translate(t, registry), registry, generation)
 
 
 def replicate(parent: Automaton) -> tuple[Automaton, Automaton]:
-    """One full replication cycle; returns (parent, child), both translated.
+    """One full replication cycle; returns (parent, child).
 
     Step 1 copies the tape cell by cell with per-cell certification; step 2
     translates the child tape with the PARENT's gate set, then decodes the
     child's own registry from its tape and demands it match the parent's.
     """
-    if parent.phase != "translated":
-        raise ContractError(f"replication requires a translated parent, got phase {parent.phase!r}")
     _, child_tape = replicate_tape(parent.tape)
     child_payload = translate(child_tape, parent.registry)
     child_registry = registry_from_tape(child_tape, parent.registry)
@@ -274,11 +269,6 @@ def automaton_overlap(a: Automaton, b: Automaton) -> complex:
     return complex(tape_ip * np.vdot(a.payload.amps, b.payload.amps))
 
 
-def _fourier(n: int) -> np.ndarray:
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(2j * np.pi * j * k / n) / np.sqrt(n)
-
-
 def demo_registry(n: int = 2) -> ProgramRegistry:
     """A small working registry over the n² joint space.
 
@@ -290,9 +280,7 @@ def demo_registry(n: int = 2) -> ProgramRegistry:
     if n < 2:
         raise ContractError(f"demo registry needs a basis of at least 2, got {n}")
     copy_gate = densify(cloner(n))
-    fourier = _fourier(n)
-    blocks = tuple(Operator(fourier @ shift_power(n, l).entries) for l in range(n))
-    cond_gate = densify(conditional_dynamics(blocks))
+    cond_gate = densify(conditional_dynamics(demo_conditional_blocks(n)))
     mix_gate = Operator(cond_gate.entries @ copy_gate.entries)
     gates = GateSet(
         (identity(n * n), copy_gate, cond_gate, mix_gate),
@@ -307,7 +295,8 @@ def demo_automaton(n: int = 2) -> Automaton:
 
 def demo_conditional_blocks(n: int) -> tuple[Operator, ...]:
     """The block family used by the demo registry's conditional-dynamics gate."""
-    fourier = _fourier(n)
+    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    fourier = np.exp(2j * np.pi * j * k / n) / np.sqrt(n)
     return tuple(Operator(fourier @ shift_power(n, l).entries) for l in range(n))
 
 
@@ -328,9 +317,7 @@ def registry_from_json(obj) -> ProgramRegistry:
     if not isinstance(segments, dict):
         raise InputError("registry.segments: expected an object mapping names to symbol lists")
     for name, cells in segments.items():
-        if not isinstance(cells, list) or not all(
-            isinstance(c, int) and not isinstance(c, bool) for c in cells
-        ):
+        if not isinstance(cells, list):
             raise InputError(f"registry.segments[{name!r}]: expected a list of integers")
     try:
         return ProgramRegistry(gate_set_from_json(obj["gate_set"]), segments)

@@ -70,10 +70,7 @@ def _check_alphabet(n: int) -> None:
 
 def cyclic_shift(n: int) -> Operator:
     """Permutation matrix sending basis index k to (k + 1) mod n."""
-    _check_alphabet(n)
-    matrix = np.zeros((n, n), dtype=complex)
-    matrix[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
-    return Operator(matrix)
+    return shift_power(n, 1)
 
 
 def shift_power(n: int, l: int) -> Operator:
@@ -146,6 +143,7 @@ def controlled_to_json(c: ControlledOperator) -> dict:
 def controlled_from_json(obj) -> ControlledOperator:
     from .errors import InputError
     from .linalg import operator_from_json
+    from .tape import _integer
 
     if not isinstance(obj, dict) or "blocks" not in obj:
         raise InputError("controlled operator: expected a JSON object with a 'blocks' key")
@@ -154,6 +152,10 @@ def controlled_from_json(obj) -> ControlledOperator:
         raise InputError("controlled operator: 'blocks' must be a non-empty list")
     result = ControlledOperator(tuple(operator_from_json(b) for b in blocks))
     for key, expected in (("control_dim", result.control_dim), ("target_dim", result.target_dim)):
-        if key in obj and obj[key] != expected:
-            raise InputError(f"controlled operator: {key}={obj[key]} inconsistent with blocks ({expected})")
+        try:
+            value = _integer(obj.get(key, expected), key)
+        except ContractError as exc:
+            raise InputError(f"controlled operator: {exc}") from exc
+        if value != expected:
+            raise InputError(f"controlled operator: {key}={value} inconsistent with blocks ({expected})")
     return result

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,15 +45,6 @@ from .tape import (
 _OVER_JOINT_LIMIT = f"joint space exceeds 2^{config.JOINT_CHECK_LIMIT.bit_length() - 1} amplitudes"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Per-invocation settings shared by all subcommands."""
-
-    seed: int
-    tolerance_overrides: tuple[tuple[str, float], ...]
-    output: str | None
-
-
 def _parse_override(text: str) -> tuple[str, float]:
     name, sep, value = text.partition("=")
     if not sep:
@@ -63,13 +53,6 @@ def _parse_override(text: str) -> tuple[str, float]:
         return name, float(value)
     except ValueError:
         raise InputError(f"tolerance override {text!r} has a non-numeric value") from None
-
-
-def _run_config(args) -> RunConfig:
-    overrides = tuple(_parse_override(t) for t in (args.set_tolerance or []))
-    for name, value in overrides:
-        config.set_tolerance(name, value)
-    return RunConfig(seed=args.seed, tolerance_overrides=overrides, output=args.output)
 
 
 def _load_json(text: str, what: str):
@@ -97,10 +80,10 @@ def _emit_report(report: dict, output: str | None) -> None:
     _emit(json.dumps(report, indent=2, sort_keys=True), output)
 
 
-def _base_report(command: str, cfg: RunConfig) -> dict:
+def _base_report(command: str, args) -> dict:
     return {
         "command": command,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "deterministic": True,
         "tolerances": config.snapshot(),
     }
@@ -112,7 +95,7 @@ def _load_tape(text: str) -> Tape:
     return tape_from_json(_load_json(text, "tape"))
 
 
-def cmd_clone_demo(cfg: RunConfig, args) -> int:
+def cmd_clone_demo(args) -> int:
     if args.n < 2:
         raise ContractError(f"clone demo needs a basis of at least 2, got {args.n}")
     if (args.basis_index is None) == (args.state is None):
@@ -129,7 +112,7 @@ def cmd_clone_demo(cfg: RunConfig, args) -> int:
     out = apply_controlled(cloner(args.n), joint_in)
     ideal = tensor_state(psi, psi)
     achieved = fidelity(out, ideal)
-    report = _base_report("clone-demo", cfg)
+    report = _base_report("clone-demo", args)
     report.update(
         {
             "n": args.n,
@@ -140,11 +123,11 @@ def cmd_clone_demo(cfg: RunConfig, args) -> int:
             "verdict": "cloned" if achieved >= 1.0 - config.NO_CLONE_GAP else "entangled",
         }
     )
-    _emit_report(report, cfg.output)
+    _emit_report(report, args.output)
     return 0
 
 
-def cmd_cond_dyn(cfg: RunConfig, args) -> int:
+def cmd_cond_dyn(args) -> int:
     obj = _load_json(args.blocks, "blocks")
     if isinstance(obj, dict) and "blocks" in obj:
         obj = obj["blocks"]
@@ -164,7 +147,7 @@ def cmd_cond_dyn(cfg: RunConfig, args) -> int:
             target = basis_state(cd.target_dim, 0)
         joint_in = tensor_state(control, target)
     out = apply_controlled(cd, joint_in)
-    report = _base_report("cond-dyn", cfg)
+    report = _base_report("cond-dyn", args)
     report.update(
         {
             "control_dim": cd.control_dim,
@@ -182,11 +165,11 @@ def cmd_cond_dyn(cfg: RunConfig, args) -> int:
             "performed": False,
             "note": f"{_OVER_JOINT_LIMIT}; block-form result only",
         }
-    _emit_report(report, cfg.output)
+    _emit_report(report, args.output)
     return 0
 
 
-def cmd_tape_run(cfg: RunConfig, args) -> int:
+def cmd_tape_run(args) -> int:
     t = _load_tape(args.tape)
     gates = gate_set_from_json(_load_json(args.gates, "gate set"))
     if args.payload is not None:
@@ -194,7 +177,7 @@ def cmd_tape_run(cfg: RunConfig, args) -> int:
     else:
         payload = basis_state(gates.dim, args.payload_index)
     final = run_tape(t, gates.gates, payload)
-    report = _base_report("tape-run", cfg)
+    report = _base_report("tape-run", args)
     report.update(
         {
             "tape": format_tape(t),
@@ -219,17 +202,17 @@ def cmd_tape_run(cfg: RunConfig, args) -> int:
             "performed": False,
             "note": f"{_OVER_JOINT_LIMIT}; product-form verification only",
         }
-    _emit_report(report, cfg.output)
+    _emit_report(report, args.output)
     return 0
 
 
-def cmd_approx(cfg: RunConfig, args) -> int:
+def cmd_approx(args) -> int:
     target = operator_from_json(_load_json(args.target, "target"))
     gates = default_gate_set() if args.gates is None else gate_set_from_json(_load_json(args.gates, "gate set"))
     result = best_approximation(
         target, gates, args.max_len, epsilon=args.epsilon, net_radius=args.net_radius
     )
-    report = _base_report("approx", cfg)
+    report = _base_report("approx", args)
     report.update(
         {
             "epsilon": args.epsilon,
@@ -239,7 +222,7 @@ def cmd_approx(cfg: RunConfig, args) -> int:
             "result": approx_result_to_json(result, gates),
         }
     )
-    _emit_report(report, cfg.output)
+    _emit_report(report, args.output)
     return 0
 
 
@@ -252,11 +235,11 @@ def _variant_automaton(a: Automaton) -> Automaton:
     return Automaton(t, translate(t, a.registry), a.registry, a.generation)
 
 
-def cmd_replicate(cfg: RunConfig, args) -> int:
+def cmd_replicate(args) -> int:
     current = automaton_from_json(_load_json(args.automaton, "automaton"))
     if args.generations < 1:
         raise ContractError(f"generations must be at least 1, got {args.generations}")
-    header = _base_report("replicate", cfg)
+    header = _base_report("replicate", args)
     header.update(
         {
             "tape": format_tape(current.tape),
@@ -288,14 +271,14 @@ def cmd_replicate(cfg: RunConfig, args) -> int:
             )
         )
         current = child
-    _emit("\n".join(lines), args.report or cfg.output)
+    _emit("\n".join(lines), args.report or args.output)
     return 0
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
-    results = verify.run_all(cfg.seed)
+def cmd_verify(args) -> int:
+    results = verify.run_all(args.seed)
     if args.json:
-        lines = [json.dumps({"seed": cfg.seed, "tolerances": config.snapshot()}, sort_keys=True)]
+        lines = [json.dumps({"seed": args.seed, "tolerances": config.snapshot()}, sort_keys=True)]
         for r in results:
             lines.append(
                 json.dumps(
@@ -303,9 +286,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
                     sort_keys=True,
                 )
             )
-        _emit("\n".join(lines), cfg.output)
+        _emit("\n".join(lines), args.output)
     else:
-        _emit(verify.render_table(results), cfg.output)
+        _emit(verify.render_table(results), args.output)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -372,8 +355,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _run_config(args)
-        return args.handler(cfg, args)
+        overrides = [_parse_override(t) for t in args.set_tolerance or []]
+        with config.overridden(overrides):
+            return args.handler(args)
     except QReplicaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

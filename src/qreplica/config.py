@@ -1,11 +1,12 @@
 """Numerical tolerances and capacity limits shared across the package.
 
-All values are read at call time (never captured in defaults), so the CLI's
-``--set-tolerance`` override affects every check downstream. Reports embed a
-snapshot of these values so published numbers are self-describing.
+All values are read at call time (never captured in defaults), so a CLI
+``--set-tolerance`` override affects every check that call makes. Reports
+embed a snapshot of these values so published numbers are self-describing.
 """
 
 import os
+from contextlib import contextmanager
 
 from .errors import InputError
 
@@ -91,3 +92,15 @@ def set_tolerance(name: str, value: float) -> None:
         known = ", ".join(_TOLERANCE_NAMES)
         raise InputError(f"unknown tolerance {name!r}; known names: {known}")
     globals()[name] = float(value)
+
+
+@contextmanager
+def overridden(overrides):
+    """Apply (name, value) tolerance overrides until the with block returns or raises."""
+    saved = {name: globals()[name] for name in _TOLERANCE_NAMES}
+    try:
+        for name, value in overrides:
+            set_tolerance(name, value)
+        yield
+    finally:
+        globals().update(saved)

@@ -142,6 +142,18 @@ def apply(op: Operator, state: StateVector) -> StateVector:
     return StateVector(op.entries @ state.amps)
 
 
+def apply_sequence(matrices, symbols, x: np.ndarray) -> np.ndarray:
+    """Apply ``matrices[c]`` for each symbol c in turn, the first symbol first.
+
+    The gate array's one kernel: raw arrays, no checks (callers validate the
+    gates and wrap the result). Each step is ``matrices[c] @ x``, and x may be
+    a vector or a matrix.
+    """
+    for c in symbols:
+        x = matrices[c] @ x
+    return x
+
+
 def fidelity(a: StateVector, b: StateVector) -> float:
     """Squared magnitude of the inner product; 1 means equal up to phase."""
     if a.dim != b.dim:
@@ -159,7 +171,12 @@ def phase_invariant_distance(a: Operator, b: Operator) -> float:
         raise ContractError(f"operator dims differ: {a.dim} vs {b.dim}")
     if not a.is_unitary or not b.is_unitary:
         raise ContractError("phase_invariant_distance requires unitary operators")
-    overlap = abs(np.trace(a.entries.conj().T @ b.entries)) / a.dim
+    return _trace_distance(a.entries, b.entries)
+
+
+def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """sqrt(max(0, 1 − |tr(a†b)|/dim)) on square arrays of equal size."""
+    overlap = abs(np.trace(a.conj().T @ b)) / a.shape[0]
     return float(np.sqrt(max(0.0, 1.0 - overlap)))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import config
 from .basis_ops import apply_controlled, cloner
 from .errors import ContractError, InputError, ReplicationIntegrityError
-from .linalg import StateVector, _check_capacity, apply, basis_state, fidelity, tensor_state
+from .linalg import StateVector, _check_capacity, apply_sequence, basis_state, fidelity, tensor_state
 
 
 @dataclass(frozen=True)
@@ -113,12 +113,8 @@ def run_tape(t: Tape, gates, payload: StateVector) -> StateVector:
     _check_gates(t, gates, payload.dim)
     if t.head != 0:
         raise ContractError(f"run_tape starts at cell 1, got head {t.head}")
-    cur = t
-    out = payload
-    for _ in range(t.length):
-        out = apply(gates[read_symbol(cur)], out)
-        cur = shift_tape(cur)
-    return out
+    matrices = [gate.entries for gate in gates]
+    return StateVector(apply_sequence(matrices, reversed(t.cells), payload.amps))
 
 
 def joint_tape_evolution(t: Tape, gates, payload: StateVector) -> StateVector:
@@ -156,14 +152,14 @@ def replicate_tape(t: Tape) -> tuple[Tape, Tape]:
     Raises ReplicationIntegrityError if any per-cell fidelity falls below
     1 − REPLICATION_TOL.
     """
-    n = t.alphabet_size
+    n, s = t.alphabet_size, t.length
     copier = cloner(n)
     blank = basis_state(n, 0)
-    child = [0] * t.length
-    cur = t
-    for _ in range(t.length):
-        pos = t.length - 1 - cur.head
-        symbol = cur.cells[pos]
+    child = [0] * s
+    # Cells in the order the head reads them, starting under the head.
+    for k in range(s):
+        pos = s - 1 - (t.head + k) % s
+        symbol = t.cells[pos]
         out = apply_controlled(copier, tensor_state(basis_state(n, symbol), blank))
         ideal = tensor_state(basis_state(n, symbol), basis_state(n, symbol))
         achieved = fidelity(out, ideal)
@@ -173,7 +169,6 @@ def replicate_tape(t: Tape) -> tuple[Tape, Tape]:
                 "cloner wiring is broken"
             )
         child[pos] = int(np.argmax(np.abs(out.amps))) % n
-        cur = shift_tape(cur)
     return t, Tape(n, tuple(child), t.head)
 
 

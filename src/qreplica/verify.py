@@ -27,7 +27,9 @@ from .automaton import (
 )
 from .basis_ops import apply_controlled, cloner, conditional_dynamics, densify
 from .linalg import (
+    _trace_distance,
     apply,
+    apply_sequence,
     basis_state,
     fidelity,
     random_state,
@@ -189,17 +191,13 @@ def criterion_tape_orthogonality() -> CriterionResult:
 
 def _exhaustive_best_distance(target, g: GateSet, max_len: int) -> float:
     """Plain enumeration of every product up to max_len, no pruning."""
-    dim = g.dim
-    tmat = target.entries
-    best = float(np.sqrt(max(0.0, 1.0 - abs(np.trace(tmat)) / dim)))
-    for length in range(1, max_len + 1):
-        for symbols in itertools.product(range(g.n), repeat=length):
-            matrix = np.eye(dim, dtype=complex)
-            for c in symbols:
-                matrix = g.gates[c].entries @ matrix
-            overlap = abs(np.trace(matrix.conj().T @ tmat)) / dim
-            best = min(best, float(np.sqrt(max(0.0, 1.0 - overlap))))
-    return best
+    matrices = [gate.entries for gate in g.gates]
+    identity = np.eye(g.dim, dtype=complex)
+    return min(
+        _trace_distance(apply_sequence(matrices, symbols, identity), target.entries)
+        for length in range(max_len + 1)
+        for symbols in itertools.product(range(g.n), repeat=length)
+    )
 
 
 def criterion_approximation(rng: np.random.Generator) -> CriterionResult:

@@ -38,6 +38,7 @@ from qreplica.linalg import (
     basis_state,
     fidelity,
     random_state,
+    random_unitary,
 )
 from qreplica.tape import Tape, format_tape, tape_to_state
 
@@ -63,8 +64,9 @@ class TestProgramRegistry:
 
     def test_symbol_out_of_alphabet_rejected(self):
         g = demo_registry(2).gate_set
-        with pytest.raises(ContractError):
-            ProgramRegistry(g, {"bad": (4,)})
+        for cells in ((4,), (1.9,), (True,), (2.0,)):
+            with pytest.raises(ContractError):
+                ProgramRegistry(g, {"bad": cells})
 
     def test_empty_segment_allowed(self):
         g = demo_registry(2).gate_set
@@ -186,6 +188,12 @@ class TestScattering:
         reg = demo_registry(2)
         with pytest.raises(UndecodableProgramError, match="power"):
             scattering_apply(basis_state(6, 0), random_state(4, rng), reg)
+        # One gate: only the 1-dim program decodes; no larger dim is a power of 1.
+        single = ProgramRegistry(GateSet((random_unitary(2, rng),)), {})
+        with pytest.raises(UndecodableProgramError, match="power"):
+            scattering_apply(basis_state(2, 0), random_state(2, rng), single)
+        psi = random_state(2, rng)
+        assert scattering_apply(basis_state(1, 0), psi, single).amps.tobytes() == psi.amps.tobytes()
 
     def test_data_dim_mismatch(self):
         reg = demo_registry(2)
@@ -196,7 +204,6 @@ class TestScattering:
 class TestAutomaton:
     def test_from_registry_is_translated(self):
         a = demo_automaton(2)
-        assert a.phase == "translated"
         assert a.generation == 0
         assert fidelity(a.payload, translate(a.tape, a.registry)) == pytest.approx(1.0, abs=1e-12)
 
@@ -205,15 +212,11 @@ class TestAutomaton:
         with pytest.raises(ContractError, match="translation"):
             Automaton(a.tape, basis_state(4, 3), a.registry)
 
-    def test_replicating_phase_skips_payload_check(self):
+    def test_bad_generation(self):
         a = demo_automaton(2)
-        b = Automaton(a.tape, basis_state(4, 3), a.registry, phase="replicating")
-        assert b.phase == "replicating"
-
-    def test_bad_phase(self):
-        a = demo_automaton(2)
-        with pytest.raises(ContractError, match="phase"):
-            Automaton(a.tape, a.payload, a.registry, phase="budding")
+        for generation in (-1, 1.5, True, 1.0):
+            with pytest.raises(ContractError, match="generation"):
+                Automaton(a.tape, a.payload, a.registry, generation)
 
 
 class TestReplicate:
@@ -234,12 +237,6 @@ class TestReplicate:
         _, child = replicate(a)
         _, grandchild = replicate(child)
         assert grandchild.tape.cells == a.tape.cells
-
-    def test_requires_translated_phase(self):
-        a = demo_automaton(2)
-        limbo = Automaton(a.tape, a.payload, a.registry, phase="replicating")
-        with pytest.raises(ContractError, match="translated"):
-            replicate(limbo)
 
     def test_symbol_corruption_is_heredity_error(self, monkeypatch):
         """A decodable but different child tape must be caught by decode-compare."""
@@ -287,10 +284,13 @@ class TestOverlap:
         assert literal == 0.0
 
     def test_identical_tapes_expose_payload_inner_product(self, rng):
+        """The same tape under a second gate set of equal size and dim."""
         a = demo_automaton(2)
-        other_payload = random_state(4, rng)
-        b = Automaton(a.tape, other_payload, a.registry, phase="replicating")
-        expected = complex(np.vdot(a.payload.amps, other_payload.amps))
+        gates = GateSet(tuple(random_unitary(4, rng) for _ in range(4)))
+        other = ProgramRegistry(gates, dict(a.registry.segments))
+        b = Automaton(a.tape, translate(a.tape, other), other)
+        expected = complex(np.vdot(a.payload.amps, b.payload.amps))
+        assert abs(expected) < 1.0 - 1e-3
         assert automaton_overlap(a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_exhaustive_small_tapes(self):
@@ -331,6 +331,8 @@ class TestAutomatonJson:
         for broken in (
             {**data, "tape": 7},
             {**data, "generation": -1},
+            {**data, "generation": 1.5},
+            {**data, "registry": {**data["registry"], "segments": {"C": [1.9]}}},
             {k: v for k, v in data.items() if k != "registry"},
         ):
             with pytest.raises(InputError):

@@ -279,10 +279,11 @@ class TestControlledJson:
 
     def test_inconsistent_dims_rejected(self, rng):
         cd = conditional_dynamics((random_unitary(2, rng), random_unitary(2, rng)))
-        data = controlled_to_json(cd)
-        data["control_dim"] = 3
-        with pytest.raises(InputError, match="inconsistent"):
-            controlled_from_json(data)
+        for key in ("control_dim", "target_dim"):
+            for value, message in ((3, "inconsistent"), (2.0, "integer"), (True, "integer")):
+                data = {**controlled_to_json(cd), key: value}
+                with pytest.raises(InputError, match=message):
+                    controlled_from_json(data)
 
     def test_missing_blocks(self):
         with pytest.raises(InputError):

@@ -82,8 +82,7 @@ class TestCloneDemo:
             cli.main(["clone-demo", "--n", "2", "--basis-index", "0", "--state", "{}"]) == 2
         )
 
-    def test_tolerance_override_changes_verdict(self, capsys, monkeypatch):
-        monkeypatch.setattr(config, "NO_CLONE_GAP", config.NO_CLONE_GAP)
+    def test_tolerance_override_changes_verdict(self, capsys):
         amp = 1.0 / np.sqrt(2.0)
         state = json.dumps({"dim": 2, "amps": [[amp, 0.0], [amp, 0.0]]})
         code, report = run_json(
@@ -93,6 +92,22 @@ class TestCloneDemo:
         assert code == 0
         assert report["verdict"] == "cloned"
         assert report["tolerances"]["NO_CLONE_GAP"] == 0.6
+
+    def test_tolerance_override_lasts_one_call(self, capsys):
+        """An override, also one on a call that fails, is gone by the next call."""
+        amp = 1.0 / np.sqrt(2.0)
+        state = json.dumps({"dim": 2, "amps": [[amp, 0.0], [amp, 0.0]]})
+        argv = ["clone-demo", "--n", "2", "--state", state]
+        defaults = config.snapshot()
+        assert run_json(capsys, [*argv, "--set-tolerance", "NO_CLONE_GAP=0.6"])[1]["verdict"] == "cloned"
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert report["verdict"] == "entangled"
+        assert report["tolerances"] == defaults
+        failing = ["--set-tolerance", "NO_CLONE_GAP=0.6", "--set-tolerance", "NOPE=1"]
+        assert cli.main([*argv, *failing]) == 2
+        assert cli.main(["clone-demo", "--n", "1", "--basis-index", "0", "--set-tolerance", "NORM_TOL=0.5"]) == 2
+        assert config.snapshot() == defaults
 
     def test_unknown_tolerance_name(self, capsys):
         assert cli.main(["clone-demo", "--n", "2", "--basis-index", "0", "--set-tolerance", "NOPE=1"]) == 2
@@ -144,6 +159,13 @@ class TestTapeRun:
         assert report["joint_check"]["note"] == (
             "joint space exceeds 2^10 amplitudes; product-form verification only"
         )
+
+    @pytest.mark.parametrize("dim", ["2.0", "true", "3"])
+    def test_bad_gate_set_dim(self, capsys, tmp_path, dim):
+        path = tmp_path / "gates.json"
+        path.write_text(json.dumps({**gate_set_to_json(default_gate_set()), "dim": json.loads(dim)}))
+        assert cli.main(["tape-run", "--tape", "n=2;cells=1,0;head=0", "--gates", str(path)]) == 2
+        assert "dim" in capsys.readouterr().err
 
     def test_bad_tape_text(self, capsys, golden_gates_file):
         assert cli.main(["tape-run", "--tape", "n=2;cells=", "--gates", golden_gates_file]) == 2
