@@ -7,10 +7,11 @@ the replication cycle copy tapes without violating the no-copying bound for
 general states.
 
 The replication cycle has two steps: (1) copy the tape cell by cell with the
-basis cloner, certifying each cell; (2) rebuild the payload by running the
-child's tape through the parent's gate set on a blank register. The child's
-own registry is then decoded from its tape and must match the parent's, so
-heredity is a checked outcome rather than an implementation shortcut.
+basis cloner, certifying each distinct symbol's copy once; (2) rebuild the
+payload by running the child's tape through the parent's gate set on a blank
+register. The child's own registry is then decoded from its tape and must
+match the parent's, so heredity is a checked outcome rather than an
+implementation shortcut.
 
 Program segments are laid out on the tape as symbol runs over {1, …, n−1},
 each terminated by one separator cell (symbol 0), making the layout
@@ -73,10 +74,6 @@ class ProgramRegistry:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.segments)
-
-    @property
-    def segment_table(self) -> dict[str, tuple[int, ...]]:
-        return dict(self.segments)
 
     def segment(self, name: str) -> tuple[int, ...]:
         for seg_name, cells in self.segments:
@@ -238,9 +235,9 @@ class Automaton:
 def replicate(parent: Automaton) -> tuple[Automaton, Automaton]:
     """One full replication cycle; returns (parent, child).
 
-    Step 1 copies the tape cell by cell with per-cell certification; step 2
-    translates the child tape with the PARENT's gate set, then decodes the
-    child's own registry from its tape and demands it match the parent's.
+    Step 1 copies the tape cell by cell, certifying each distinct symbol once;
+    step 2 translates the child tape with the PARENT's gate set, then decodes
+    the child's own registry from its tape and demands it match the parent's.
     """
     _, child_tape = replicate_tape(parent.tape)
     child_payload = translate(child_tape, parent.registry)

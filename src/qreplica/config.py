@@ -26,7 +26,8 @@ STRUCT_DENSE_TOL = 1e-12
 NO_CLONE_GAP = 1e-6
 BASIS_CUTOFF = 1e-6
 
-# Per-cell certified copy fidelity floor during tape replication is 1 − this.
+# Certified copy fidelity floor during tape replication, checked once per
+# distinct tape symbol, is 1 − this.
 REPLICATION_TOL = 1e-9
 
 # A program state must be within this of an exact basis state to decode.
@@ -73,10 +74,6 @@ def max_dim() -> int:
     if value < 1:
         raise InputError(f"{ENV_MAX_DIM} must be a positive integer, got {raw!r}")
     return value
-
-
-def tolerance_names() -> tuple[str, ...]:
-    return _TOLERANCE_NAMES
 
 
 def snapshot() -> dict:

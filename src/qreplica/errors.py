@@ -33,7 +33,7 @@ class IntegrityError(QReplicaError):
 
 
 class ReplicationIntegrityError(IntegrityError):
-    """Per-cell clone certification fell below the required fidelity floor."""
+    """A tape symbol's certified copy fell below the required fidelity floor."""
 
 
 class CorruptedHeredityError(IntegrityError):

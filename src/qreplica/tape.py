@@ -144,31 +144,36 @@ def joint_tape_evolution(t: Tape, gates, payload: StateVector) -> StateVector:
 
 
 def replicate_tape(t: Tape) -> tuple[Tape, Tape]:
-    """Copy a tape cell by cell onto blank cells, certifying each copy.
+    """Copy a tape cell by cell onto blank cells, certifying each distinct symbol.
 
-    Every cell is copied by applying the basis cloner to (cell symbol, blank)
-    and checking the result against the perfect copy; the child's symbol is
-    then read back out of the certified output rather than taken on trust.
-    Raises ReplicationIntegrityError if any per-cell fidelity falls below
-    1 − REPLICATION_TOL.
+    A symbol is copied by applying the basis cloner to (symbol, blank) and
+    checking the result against the perfect copy; the child's symbol is then
+    read back out of the certified output rather than taken on trust. The
+    cloner is deterministic, so each symbol is certified once, at its first
+    occurrence in head-read order, and later cells holding it reuse that
+    result. Raises ReplicationIntegrityError, naming that first cell, if a
+    copy fidelity falls below 1 − REPLICATION_TOL.
     """
     n, s = t.alphabet_size, t.length
     copier = cloner(n)
     blank = basis_state(n, 0)
+    copies: dict[int, int] = {}
     child = [0] * s
     # Cells in the order the head reads them, starting under the head.
     for k in range(s):
         pos = s - 1 - (t.head + k) % s
         symbol = t.cells[pos]
-        out = apply_controlled(copier, tensor_state(basis_state(n, symbol), blank))
-        ideal = tensor_state(basis_state(n, symbol), basis_state(n, symbol))
-        achieved = fidelity(out, ideal)
-        if achieved < 1.0 - config.REPLICATION_TOL:
-            raise ReplicationIntegrityError(
-                f"cell {pos} copy fidelity {achieved!r} below 1 - REPLICATION_TOL; "
-                "cloner wiring is broken"
-            )
-        child[pos] = int(np.argmax(np.abs(out.amps))) % n
+        if symbol not in copies:
+            out = apply_controlled(copier, tensor_state(basis_state(n, symbol), blank))
+            ideal = tensor_state(basis_state(n, symbol), basis_state(n, symbol))
+            achieved = fidelity(out, ideal)
+            if achieved < 1.0 - config.REPLICATION_TOL:
+                raise ReplicationIntegrityError(
+                    f"cell {pos} copy fidelity {achieved!r} below 1 - REPLICATION_TOL; "
+                    "cloner wiring is broken"
+                )
+            copies[symbol] = int(np.argmax(np.abs(out.amps))) % n
+        child[pos] = copies[symbol]
     return t, Tape(n, tuple(child), t.head)
 
 

@@ -1,10 +1,13 @@
 """Registry encoding, tape translation, program scattering, replication cycles."""
 
+import dataclasses
 import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qreplica.automaton
 from qreplica.approx import GateSet, default_gate_set, sequence_unitary
@@ -263,6 +266,33 @@ class TestReplicate:
         monkeypatch.setattr(qreplica.automaton, "replicate_tape", corrupting)
         with pytest.raises(UndecodableProgramError):
             replicate(a)
+
+
+@st.composite
+def registries_and_heads(draw):
+    """A random gate set, random segments over {1, ..., n-1} and a head on the encoded tape."""
+    n = draw(st.integers(2, 4))
+    dim = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gates = GateSet(tuple(random_unitary(dim, rng) for _ in range(n)))
+    cells = st.lists(st.integers(1, n - 1), max_size=5)
+    segments = draw(st.lists(cells, min_size=1, max_size=4))
+    registry = ProgramRegistry(gates, {f"s{k}": seg for k, seg in enumerate(segments)})
+    length = sum(len(seg) + 1 for seg in segments)
+    return registry, draw(st.integers(0, length - 1))
+
+
+@given(registries_and_heads(), st.integers(0, 5))
+def test_replication_preserves_heredity(registry_and_head, generation):
+    registry, head = registry_and_head
+    start = Automaton.from_registry(registry, generation)
+    start = dataclasses.replace(start, tape=encode_tape(registry, head))
+    parent, child = replicate(start)
+    assert parent is start
+    assert child.tape == parent.tape
+    assert child.registry.segments == parent.registry.segments
+    assert child.generation == parent.generation + 1
+    assert child.payload.amps.tobytes() == parent.payload.amps.tobytes()
 
 
 class TestOverlap:

@@ -6,13 +6,14 @@ so it shares no code with the package's own joint evolution.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import qreplica.tape
 from qreplica import config
-from qreplica.basis_ops import conditional_dynamics
+from qreplica.basis_ops import apply_controlled, conditional_dynamics, shift_power
 from qreplica.errors import CapacityError, ContractError, InputError, ReplicationIntegrityError
 from qreplica.linalg import (
     Operator,
@@ -282,6 +283,33 @@ class TestReplicateTape:
         )
         with pytest.raises(ReplicationIntegrityError, match="fidelity"):
             replicate_tape(Tape(3, (1, 2)))
+
+    @staticmethod
+    def _broken_on(symbol):
+        """A cloner whose block for one symbol does nothing: only that symbol fails to copy."""
+        return lambda n: conditional_dynamics(
+            [identity(n) if l == symbol else shift_power(n, l) for l in range(n)]
+        )
+
+    def test_broken_symbol_names_its_first_cell_in_head_order(self, monkeypatch):
+        """Symbol 2 sits at cells 0, 2 and 5; with head 2 the head reads cell 2 first."""
+        monkeypatch.setattr(qreplica.tape, "cloner", self._broken_on(2))
+        message = "cell 2 copy fidelity 0.0 below 1 - REPLICATION_TOL; cloner wiring is broken"
+        with pytest.raises(ReplicationIntegrityError) as excinfo:
+            replicate_tape(Tape(3, (2, 1, 2, 0, 1, 2), head=2))
+        assert str(excinfo.value) == message
+
+    def test_tape_without_the_broken_symbol_still_copies(self, monkeypatch):
+        monkeypatch.setattr(qreplica.tape, "cloner", self._broken_on(2))
+        parent, child = replicate_tape(Tape(3, (1, 0, 1, 1), head=1))
+        assert child == parent
+
+    def test_each_distinct_symbol_is_certified_once(self):
+        cells = tuple(int(c) for c in np.random.default_rng(5).integers(0, 4, 240))
+        with mock.patch.object(qreplica.tape, "apply_controlled", wraps=apply_controlled) as spy:
+            parent, child = replicate_tape(Tape(4, cells, head=17))
+        assert child == parent
+        assert spy.call_count <= 4
 
 
 class TestTextAndJson:
