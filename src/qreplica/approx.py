@@ -122,7 +122,7 @@ def sequence_unitary(t: Tape, g: GateSet) -> Operator:
             f"tape alphabet {t.alphabet_size} does not match gate set size {g.n}"
         )
     product = product_operator(reversed(t.cells), g)
-    if not product.is_unitary_within(max(config.UNITARY_TOL, t.length * 1e-13)):
+    if not product.unitary_residual <= max(config.UNITARY_TOL, t.length * 1e-13):
         raise ContractError(
             f"product of {t.length} gates drifted from unitarity "
             f"(residual {product.unitary_residual:.3e})"

@@ -56,7 +56,13 @@ class ProgramRegistry:
     def __init__(self, gate_set: GateSet, segments: Mapping[str, Sequence[int]]):
         object.__setattr__(self, "gate_set", gate_set)
         normalized = tuple(
-            (str(name), tuple(_integer(c, f"segment {name!r} symbol") for c in cells))
+            (
+                str(name),
+                tuple(
+                    c if type(c) is int else _integer(c, f"segment {name!r} symbol")
+                    for c in cells
+                ),
+            )
             for name, cells in dict(segments).items()
         )
         names = [name for name, _ in normalized]

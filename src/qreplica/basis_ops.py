@@ -10,6 +10,7 @@ for the dense matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -81,11 +82,15 @@ def shift_power(n: int, l: int) -> Operator:
     return Operator(matrix)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def cloner(n: int) -> ControlledOperator:
     """The basis-copying operator: block l is the l-th shift power.
 
     On |k⟩⊗|0⟩ it produces |k⟩⊗|k⟩ for every basis index k; on superposed
     control inputs linearity forces an entangled output instead of a copy.
+
+    Cached, since the operator is immutable: the cache holds about 2·n³
+    amplitudes (the blocks and their stack) per alphabet size n used.
     """
     _check_alphabet(n)
     return ControlledOperator(tuple(shift_power(n, l) for l in range(n)))

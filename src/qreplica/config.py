@@ -33,8 +33,7 @@ REPLICATION_TOL = 1e-9
 # A program state must be within this of an exact basis state to decode.
 PROGRAM_DECODE_TOL = 1e-9
 
-# In the translated phase, an automaton payload must match its tape's
-# translation to this.
+# An automaton's payload must match its tape's translation to this.
 TRANSLATED_TOL = 1e-9
 
 # Two partial products closer than this merge during approximation search;

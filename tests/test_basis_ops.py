@@ -129,6 +129,14 @@ class TestCloner:
             for j in range(i + 1, n):
                 assert fidelity(outputs[i], outputs[j]) <= 1e-12
 
+    def test_one_frozen_cloner_per_alphabet(self):
+        # The cloner is cached, so nothing it holds may be writable.
+        for n in range(1, 6):
+            copier = cloner(n)
+            assert cloner(n) is copier
+            assert not copier._stack.flags.writeable
+            assert all(not block.entries.flags.writeable for block in copier.blocks)
+
     def test_superposed_inputs_miss_perfect_copy(self, rng):
         """Sampled Haar states never reach the perfect-copy target."""
         for n in range(2, 6):

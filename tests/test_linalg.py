@@ -1,9 +1,12 @@
 """Core linear algebra: construction contracts, tensor ordering, metrics, JSON."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from qreplica import config
 from qreplica.errors import CapacityError, ContractError, InputError
@@ -42,6 +45,21 @@ class TestStateVector:
         with pytest.raises(ContractError, match="finite"):
             StateVector(np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize(
+        "bad", [np.inf, -np.inf, complex(np.inf, np.nan), complex(0.0, -np.inf)]
+    )
+    def test_rejects_each_non_finite_kind(self, bad):
+        with pytest.raises(ContractError, match="^state amplitudes must be finite$"):
+            StateVector(np.array([bad, 0.0]))
+
+    def test_overflowing_norm_of_finite_amplitudes(self):
+        # Every amplitude is finite but the squared norm overflows: numpy warns
+        # of the overflow, and the check reports an infinite norm.
+        message = "state norm inf deviates from 1 beyond NORM_TOL"
+        with pytest.warns(RuntimeWarning, match="^overflow encountered in dot$"):
+            with pytest.raises(ContractError, match=f"^{message}$"):
+                StateVector(np.array([1e200, 0.0]))
+
     def test_rejects_empty(self):
         with pytest.raises(ContractError):
             StateVector(np.array([], dtype=complex))
@@ -58,6 +76,63 @@ class TestStateVector:
         s = basis_state(2, 0)
         with pytest.raises(ValueError):
             s.amps[0] = 0.0
+
+
+def reference_state_check(amps) -> np.ndarray:
+    """Test-only copy of the earlier two-scan StateVector check."""
+    arr = np.array(amps, dtype=complex)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ContractError("state amplitudes must form a non-empty 1-d sequence")
+    if not np.all(np.isfinite(arr)):
+        raise ContractError("state amplitudes must be finite")
+    norm = float(np.linalg.norm(arr))
+    if abs(norm - 1.0) > config.NORM_TOL:
+        raise ContractError(f"state norm {norm!r} deviates from 1 beyond NORM_TOL")
+    return arr
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(np.nan, 0.0), complex(0.0, -np.inf)]
+# Amplitude parts with signed zeros, whose signs a product must keep.
+PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1.0, 1.0)
+AMPLITUDES = st.tuples(PARTS, PARTS).map(lambda p: complex(*p))
+NORM_SCALES = [
+    0.0,
+    1.0,
+    1.0 - 0.5 * config.NORM_TOL,
+    1.0 + 0.5 * config.NORM_TOL,
+    1.0 - 2.0 * config.NORM_TOL,
+    1.0 + 2.0 * config.NORM_TOL,
+    1e200,
+]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 64),
+    scale=st.sampled_from(NORM_SCALES),
+    # (position as a fraction of dim, non-finite value) pairs to write in.
+    injected=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(NON_FINITE)), max_size=3),
+)
+def test_state_check_matches_the_two_scan_form(seed, dim, scale, injected):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    amps = z / np.linalg.norm(z) * scale
+    for where, value in injected:
+        amps[int(where * dim)] = value
+    assert _outcome(StateVector, amps) == _outcome(reference_state_check, amps)
+
+
+def _outcome(check, amps):
+    """What a check does with amps: its exception or accepted bytes, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = check(amps)
+        except ContractError as exc:
+            result = (type(exc), str(exc))
+        else:
+            result = np.asarray(getattr(result, "amps", result)).tobytes()
+    return result, [(w.category, str(w.message)) for w in caught]
 
 
 class TestOperator:
@@ -117,6 +192,12 @@ class TestTensorOrdering:
             left = apply(tensor_op(a, b), tensor_state(x, y))
             right = tensor_state(apply(a, x), apply(b, y))
             np.testing.assert_allclose(left.amps, right.amps, atol=1e-12)
+
+    @given(a=st.lists(AMPLITUDES, min_size=1, max_size=32), b=st.lists(AMPLITUDES, min_size=1, max_size=32))
+    def test_matches_kron_byte_for_byte(self, a, b):
+        assume(np.linalg.norm(a) > 1e-150 and np.linalg.norm(b) > 1e-150)
+        x, y = StateVector.normalized(a), StateVector.normalized(b)
+        assert tensor_state(x, y).amps.tobytes() == np.kron(x.amps, y.amps).tobytes()
 
     def test_capacity_error(self, monkeypatch):
         monkeypatch.setenv(config.ENV_MAX_DIM, "16")

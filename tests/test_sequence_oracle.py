@@ -20,7 +20,7 @@ import qreplica.tape as tape_module
 from qreplica.approx import GateSet, product_operator, sequence_unitary
 from qreplica.automaton import ProgramRegistry, scattering_apply, translate
 from qreplica.basis_ops import apply_controlled
-from qreplica.linalg import Operator, apply, basis_state, random_state, random_unitary
+from qreplica.linalg import Operator, apply, apply_sequence, basis_state, random_state, random_unitary
 from qreplica.tape import Tape, read_symbol, replicate_tape, run_tape, shift_tape, tape_to_state
 from qreplica.verify import _exhaustive_best_distance
 
@@ -152,3 +152,33 @@ def test_exhaustive_distance_matches_the_gate_loop(seed, n, dim, max_len):
     for candidate in (target, g.gates[int(rng.integers(0, n))]):
         got = _exhaustive_best_distance(candidate, g, max_len)
         assert got.hex() == reference_exhaustive_best_distance(candidate, g, max_len).hex()
+
+
+def reference_apply_sequence(matrices, symbols, x):
+    for c in symbols:
+        x = matrices[c] @ x
+    return x
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 16),
+    n=st.integers(1, 4),
+    start=st.sampled_from(["vector", "identity", "matrix"]),
+    length=st.integers(0, 40),
+)
+def test_apply_sequence_matches_the_matmul_fold(seed, d, n, start, length):
+    rng = np.random.default_rng(seed)
+
+    def raw(shape):
+        # Raw complex entries with signed zeros sprinkled in: the kernel takes
+        # unchecked arrays, and zeros are where products can differ in sign.
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        zeros = np.array([complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+        return np.where(rng.random(shape) < 0.25, rng.choice(zeros, shape), z)
+
+    matrices = [raw((d, d)) for _ in range(n)]
+    x = np.eye(d, dtype=complex) if start == "identity" else raw(d if start == "vector" else (d, d))
+    symbols = [int(c) for c in rng.integers(0, n, length)]
+    got = apply_sequence(matrices, symbols, x)
+    assert got.tobytes() == reference_apply_sequence(matrices, symbols, x).tobytes()
