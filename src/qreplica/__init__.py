@@ -5,7 +5,6 @@ checks that certify every advertised property."""
 from .approx import (
     ApproxResult,
     GateSet,
-    approximate,
     best_approximation,
     default_gate_set,
     sequence_unitary,
@@ -52,7 +51,6 @@ from .linalg import (
     phase_invariant_distance,
     random_state,
     random_unitary,
-    tensor_op,
     tensor_state,
 )
 from .tape import (
@@ -62,7 +60,6 @@ from .tape import (
     format_tape,
     replicate_tape,
     run_tape,
-    shift_tape,
     tape_to_state,
 )
 

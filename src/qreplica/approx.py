@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import ContractError
-from .linalg import Operator, apply_sequence, phase_invariant_distance
-from .tape import Tape, _integer
+from .errors import ContractError, InputError
+from .linalg import Operator, _integer, apply_sequence, operator_from_json, operator_to_json
+from .tape import Tape, format_tape
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,11 +134,6 @@ def product_operator(symbols, g: GateSet) -> Operator:
     """Product of gates in application order; the empty product is the identity."""
     matrices = [gate.entries for gate in g.gates]
     return Operator(apply_sequence(matrices, symbols, np.eye(g.dim, dtype=complex)))
-
-
-def recomputed_distance(result: ApproxResult, g: GateSet) -> float:
-    """Independently recompute the result's distance from its symbols."""
-    return phase_invariant_distance(product_operator(result.symbols, g), result.target)
 
 
 # Batched overlaps this close to a merge threshold or to a level's best are
@@ -292,7 +287,8 @@ def best_approximation(
 
     With ``epsilon`` set, the search stops after the first level at which the
     best distance so far reaches epsilon (finishing that level, so the result
-    is the shortest such sequence).
+    is the shortest such sequence). A result still above epsilon certifies
+    failure only up to the net's resolution.
     """
     if not target.is_unitary:
         raise ContractError("approximation target must be unitary")
@@ -362,31 +358,10 @@ def best_approximation(
     )
 
 
-def approximate(
-    target: Operator,
-    g: GateSet,
-    epsilon: float,
-    max_len: int,
-    *,
-    net_radius: float | None = None,
-) -> ApproxResult | None:
-    """Shortest-first search for a product within epsilon of the target.
-
-    Returns None when nothing in the visited net reached epsilon by max_len;
-    that certifies failure only up to the net's resolution.
-    """
-    result = best_approximation(target, g, max_len, epsilon=epsilon, net_radius=net_radius)
-    if result.achieved_distance <= epsilon:
-        return result
-    return None
-
-
 # -- JSON wire format ---------------------------------------------------------
 
 
 def gate_set_to_json(g: GateSet) -> dict:
-    from .linalg import operator_to_json
-
     return {
         "dim": g.dim,
         "labels": list(g.labels),
@@ -395,9 +370,6 @@ def gate_set_to_json(g: GateSet) -> dict:
 
 
 def gate_set_from_json(obj) -> GateSet:
-    from .errors import InputError
-    from .linalg import operator_from_json
-
     if not isinstance(obj, dict) or "gates" not in obj:
         raise InputError("gate set: expected a JSON object with a 'gates' key")
     gates = obj["gates"]
@@ -417,8 +389,6 @@ def gate_set_from_json(obj) -> GateSet:
 
 
 def approx_result_to_json(result: ApproxResult, g: GateSet) -> dict:
-    from .tape import format_tape
-
     return {
         "symbols": list(result.symbols),
         "labels": [g.labels[c] for c in result.symbols],

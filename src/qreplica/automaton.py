@@ -36,8 +36,8 @@ from .errors import (
     InputError,
     UndecodableProgramError,
 )
-from .linalg import Operator, StateVector, apply_sequence, basis_state, fidelity, identity
-from .tape import Tape, _integer, format_tape, parse_tape, replicate_tape, tape_to_state
+from .linalg import Operator, StateVector, _integer, apply_sequence, basis_state, fidelity, identity
+from .tape import Tape, format_tape, parse_tape, replicate_tape, tape_to_state
 
 SEPARATOR = 0
 
@@ -245,7 +245,7 @@ def replicate(parent: Automaton) -> tuple[Automaton, Automaton]:
     step 2 translates the child tape with the PARENT's gate set, then decodes
     the child's own registry from its tape and demands it match the parent's.
     """
-    _, child_tape = replicate_tape(parent.tape)
+    child_tape = replicate_tape(parent.tape)
     child_payload = translate(child_tape, parent.registry)
     child_registry = registry_from_tape(child_tape, parent.registry)
     if child_registry.segments != parent.registry.segments:

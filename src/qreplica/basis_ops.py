@@ -16,8 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError
-from .linalg import Operator, StateVector, _check_capacity, _operator_with_residual
+from .errors import ContractError, InputError
+from .linalg import Operator, StateVector, _check_capacity, _integer, _operator_with_residual
+from .linalg import operator_from_json, operator_to_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +137,6 @@ def densify(c: ControlledOperator) -> Operator:
 
 
 def controlled_to_json(c: ControlledOperator) -> dict:
-    from .linalg import operator_to_json
-
     return {
         "control_dim": c.control_dim,
         "target_dim": c.target_dim,
@@ -146,21 +145,17 @@ def controlled_to_json(c: ControlledOperator) -> dict:
 
 
 def controlled_from_json(obj) -> ControlledOperator:
-    from .errors import InputError
-    from .linalg import operator_from_json
-    from .tape import _integer
-
     if not isinstance(obj, dict) or "blocks" not in obj:
         raise InputError("controlled operator: expected a JSON object with a 'blocks' key")
     blocks = obj["blocks"]
     if not isinstance(blocks, list) or not blocks:
         raise InputError("controlled operator: 'blocks' must be a non-empty list")
-    result = ControlledOperator(tuple(operator_from_json(b) for b in blocks))
-    for key, expected in (("control_dim", result.control_dim), ("target_dim", result.target_dim)):
-        try:
+    try:
+        result = ControlledOperator(tuple(operator_from_json(b) for b in blocks))
+        for key, expected in (("control_dim", result.control_dim), ("target_dim", result.target_dim)):
             value = _integer(obj.get(key, expected), key)
-        except ContractError as exc:
-            raise InputError(f"controlled operator: {exc}") from exc
-        if value != expected:
-            raise InputError(f"controlled operator: {key}={value} inconsistent with blocks ({expected})")
+            if value != expected:
+                raise InputError(f"controlled operator: {key}={value} inconsistent with blocks ({expected})")
+    except ContractError as exc:
+        raise InputError(f"controlled operator: {exc}") from exc
     return result

@@ -56,15 +56,19 @@ def _parse_override(text: str) -> tuple[str, float]:
 
 
 def _load_json(text: str, what: str):
-    """Parse inline JSON or read it from a path; errors carry line/position."""
-    path = Path(text)
-    source = text
-    if path.exists() and path.is_file():
-        source = path.read_text(encoding="utf-8")
+    """Parse the file ``text`` names, or else ``text`` itself; errors carry line/position."""
+    try:
+        source = Path(text).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what}: file {text!r} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError:
+        source = text
     try:
         return json.loads(source)
     except json.JSONDecodeError as exc:
         raise InputError(f"{what}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{what}: unreadable JSON: {exc}") from exc
 
 
 def _emit(text: str, output: str | None) -> None:

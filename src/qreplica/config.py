@@ -21,10 +21,8 @@ UNITARY_TOL = 1e-10
 STRUCT_DENSE_TOL = 1e-12
 
 # Non-basis inputs to the basis cloner must miss the perfect-copy target by
-# at least this much; inputs this concentrated on one basis index count as
-# basis states for that check.
+# at least this much.
 NO_CLONE_GAP = 1e-6
-BASIS_CUTOFF = 1e-6
 
 # Certified copy fidelity floor during tape replication, checked once per
 # distinct tape symbol, is 1 − this.
@@ -53,7 +51,6 @@ _TOLERANCE_NAMES = (
     "UNITARY_TOL",
     "STRUCT_DENSE_TOL",
     "NO_CLONE_GAP",
-    "BASIS_CUTOFF",
     "REPLICATION_TOL",
     "PROGRAM_DECODE_TOL",
     "TRANSLATED_TOL",
@@ -82,21 +79,16 @@ def snapshot() -> dict:
     return values
 
 
-def set_tolerance(name: str, value: float) -> None:
-    """Override one named tolerance for the running process."""
-    if name not in _TOLERANCE_NAMES:
-        known = ", ".join(_TOLERANCE_NAMES)
-        raise InputError(f"unknown tolerance {name!r}; known names: {known}")
-    globals()[name] = float(value)
-
-
 @contextmanager
 def overridden(overrides):
     """Apply (name, value) tolerance overrides until the with block returns or raises."""
     saved = {name: globals()[name] for name in _TOLERANCE_NAMES}
     try:
         for name, value in overrides:
-            set_tolerance(name, value)
+            if name not in _TOLERANCE_NAMES:
+                known = ", ".join(_TOLERANCE_NAMES)
+                raise InputError(f"unknown tolerance {name!r}; known names: {known}")
+            globals()[name] = float(value)
         yield
     finally:
         globals().update(saved)

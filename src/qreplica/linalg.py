@@ -38,13 +38,10 @@ class StateVector:
         re, im = arr.real, arr.imag
         with np.errstate(over="ignore", invalid="ignore"):
             sqnorm = re.dot(re) + im.dot(im)
-        if not math.isfinite(sqnorm):
-            # A sum of non-negative terms is finite only if every term is, so only
-            # now can an amplitude be non-finite. If none is, the norm overflowed:
-            # sum again unmasked, which warns of it as np.linalg.norm does.
-            if not np.all(np.isfinite(arr)):
-                raise ContractError("state amplitudes must be finite")
-            sqnorm = re.dot(re) + im.dot(im)
+        # A sum of non-negative terms is finite only if every term is, so only an
+        # infinite sum needs a scan; if all amplitudes are finite, the norm overflowed.
+        if not math.isfinite(sqnorm) and not np.all(np.isfinite(arr)):
+            raise ContractError("state amplitudes must be finite")
         norm = float(np.sqrt(sqnorm))
         if abs(norm - 1.0) > config.NORM_TOL:
             raise ContractError(f"state norm {norm!r} deviates from 1 beyond NORM_TOL")
@@ -84,7 +81,9 @@ class Operator:
         if not np.all(np.isfinite(arr)):
             raise ContractError("operator entries must be finite")
         arr.setflags(write=False)
-        residual = float(np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0]))))
+        # Entries near the float limit overflow A†A to a residual no tolerance accepts.
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = float(np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0]))))
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "unitary_residual", residual)
 
@@ -135,12 +134,6 @@ def tensor_state(a: StateVector, b: StateVector) -> StateVector:
     _check_capacity(a.dim * b.dim, "tensor product state")
     # np.kron's own ufunc call on 1-d operands, without its Python-level reshaping.
     return StateVector(np.multiply(a.amps[:, None], b.amps[None, :]).reshape(-1))
-
-
-def tensor_op(a: Operator, b: Operator) -> Operator:
-    """Kronecker product, compatible with tensor_state ordering."""
-    _check_capacity(a.dim * b.dim, "tensor product operator")
-    return Operator(np.kron(a.entries, b.entries))
 
 
 def apply(op: Operator, state: StateVector) -> StateVector:
@@ -223,10 +216,20 @@ def random_state(dim: int, rng: np.random.Generator) -> StateVector:
 # {"dim": n, "rows": [[[re, im], ...], ...]}.
 
 
+def _integer(value, what: str) -> int:
+    """An int or numpy integer as a plain int; bools and floats are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{where}: integer too large for a float") from None
 
 
 def _complex_from_json(value, where: str) -> complex:
@@ -255,7 +258,10 @@ def state_from_json(obj) -> StateVector:
     if not isinstance(amps, list) or len(amps) != dim:
         raise InputError(f"state.amps: expected a list of {dim} amplitude pairs")
     values = [_complex_from_json(v, f"state.amps[{i}]") for i, v in enumerate(amps)]
-    return StateVector(np.array(values, dtype=complex))
+    try:
+        return StateVector(np.array(values, dtype=complex))
+    except ContractError as exc:
+        raise InputError(f"state: {exc}") from exc
 
 
 def operator_to_json(op: Operator) -> dict:
@@ -279,4 +285,7 @@ def operator_from_json(obj) -> Operator:
             raise InputError(f"operator.rows[{i}]: expected {dim} entries")
         for j, value in enumerate(row):
             matrix[i, j] = _complex_from_json(value, f"operator.rows[{i}][{j}]")
-    return Operator(matrix)
+    try:
+        return Operator(matrix)
+    except ContractError as exc:
+        raise InputError(f"operator: {exc}") from exc

@@ -6,8 +6,8 @@ read first and the least significant digit of the tape's basis index. A tape
 of s cells over an alphabet of n symbols is one of n^s pairwise-orthogonal
 product basis states.
 
-The head is a 0-based cell counter: head h means cell h+1 is read next. One
-shift advances the head cyclically, and s shifts restore the tape.
+The head is a 0-based cell counter: head h means cell h+1 is read next. The
+head moves cyclically, so a pass over all s cells ends where it began.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import config
 from .basis_ops import apply_controlled, cloner
 from .errors import ContractError, InputError, ReplicationIntegrityError
-from .linalg import StateVector, _check_capacity, apply_sequence, basis_state, fidelity, tensor_state
+from .linalg import StateVector, _check_capacity, _integer, apply_sequence, basis_state, fidelity, tensor_state
 
 
 @dataclass(frozen=True)
@@ -56,13 +56,6 @@ class Tape:
         return len(self.cells)
 
 
-def _integer(value, what: str) -> int:
-    """An int or numpy integer as a plain int; bools and floats are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ContractError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def tape_index(t: Tape) -> int:
     """Basis index of the tape state: cells read as a base-n numeral, cell 1 last."""
     index = 0
@@ -80,16 +73,6 @@ def tape_to_state(t: Tape) -> StateVector:
     dim = t.alphabet_size**t.length
     _check_capacity(dim, "tape state")
     return basis_state(dim, tape_index(t))
-
-
-def read_symbol(t: Tape) -> int:
-    """Symbol under the head (cell number head+1)."""
-    return t.cells[t.length - 1 - t.head]
-
-
-def shift_tape(t: Tape) -> Tape:
-    """Advance the head one cell cyclically; contents unchanged."""
-    return Tape(t.alphabet_size, t.cells, (t.head + 1) % t.length)
 
 
 def _check_gates(t: Tape, gates, payload_dim: int) -> None:
@@ -143,8 +126,8 @@ def joint_tape_evolution(t: Tape, gates, payload: StateVector) -> StateVector:
     return StateVector(joint)
 
 
-def replicate_tape(t: Tape) -> tuple[Tape, Tape]:
-    """Copy a tape cell by cell onto blank cells, certifying each distinct symbol.
+def replicate_tape(t: Tape) -> Tape:
+    """The child tape: t copied cell by cell onto blank cells, each distinct symbol certified.
 
     A symbol is copied by applying the basis cloner to (symbol, blank) and
     checking the result against the perfect copy; the child's symbol is then
@@ -174,7 +157,7 @@ def replicate_tape(t: Tape) -> tuple[Tape, Tape]:
                 )
             copies[symbol] = int(np.argmax(np.abs(out.amps))) % n
         child[pos] = copies[symbol]
-    return t, Tape(n, tuple(child), t.head)
+    return Tape(n, tuple(child), t.head)
 
 
 # -- text and JSON forms ------------------------------------------------------
@@ -195,7 +178,7 @@ def parse_tape(text: str) -> Tape:
     n, cells, head = match.groups()
     try:
         return Tape(int(n), tuple(int(c) for c in cells.split(",")), int(head))
-    except ContractError as exc:
+    except (ContractError, ValueError) as exc:
         raise InputError(f"tape text {text!r}: {exc}") from exc
 
 
@@ -222,8 +205,6 @@ __all__ = [
     "Tape",
     "tape_index",
     "tape_to_state",
-    "read_symbol",
-    "shift_tape",
     "run_tape",
     "joint_tape_evolution",
     "replicate_tape",

@@ -119,7 +119,7 @@ def criterion_structured_dense(rng: np.random.Generator) -> CriterionResult:
     return CriterionResult(
         number=3,
         name="structured vs dense conditional dynamics",
-        passed=worst <= 1e-12,
+        passed=worst <= config.STRUCT_DENSE_TOL,
         details={"instances": 100, "max_deviation": worst},
     )
 

@@ -10,11 +10,9 @@ import pytest
 from qreplica.approx import (
     ApproxResult,
     GateSet,
-    approximate,
     best_approximation,
     default_gate_set,
     product_operator,
-    recomputed_distance,
     rotation_x,
     rotation_y,
     rotation_z,
@@ -104,15 +102,15 @@ class TestSequenceUnitary:
 class TestApproximate:
     def test_exact_gate_is_length_one(self):
         g = default_gate_set()
-        result = approximate(g.gates[0], g, 0.25, 6)
-        assert result is not None
+        result = best_approximation(g.gates[0], g, 6, epsilon=0.25)
+        assert result.achieved_distance <= 0.25
         assert result.symbols == (0,)
         assert result.achieved_distance <= 1e-7
 
     def test_identity_is_the_empty_sequence(self):
         g = default_gate_set()
-        result = approximate(identity(2), g, 0.25, 6)
-        assert result is not None
+        result = best_approximation(identity(2), g, 6, epsilon=0.25)
+        assert result.achieved_distance <= 0.25
         assert result.symbols == ()
         assert result.achieved_distance == 0.0
 
@@ -120,8 +118,8 @@ class TestApproximate:
         """The found sequence must match unpruned enumeration: length 13 is
         the first length reaching 0.05, and its optimum is the value below."""
         g = default_gate_set()
-        result = approximate(X, g, 0.05, 20)
-        assert result is not None
+        result = best_approximation(X, g, 20, epsilon=0.05)
+        assert result.achieved_distance <= 0.05
         assert len(result.symbols) == 13
         assert result.achieved_distance == pytest.approx(0.039443699164107, abs=1e-9)
 
@@ -129,22 +127,24 @@ class TestApproximate:
         assert min(minima[length] for length in range(1, 13)) > 0.05
         assert result.achieved_distance == pytest.approx(minima[13], abs=1e-9)
 
-    def test_not_found_returns_none(self):
+    def test_not_found_stays_above_epsilon(self):
         g = default_gate_set()
-        assert approximate(X, g, 1e-6, 4) is None
+        assert best_approximation(X, g, 4, epsilon=1e-6).achieved_distance > 1e-6
 
     def test_soundness_recompute(self, rng):
         g = default_gate_set()
         for _ in range(5):
             target = random_unitary(2, rng)
             result = best_approximation(target, g, 8)
-            assert abs(recomputed_distance(result, g) - result.achieved_distance) <= 1e-12
+            recomputed = phase_invariant_distance(product_operator(result.symbols, g), result.target)
+            assert abs(recomputed - result.achieved_distance) <= 1e-12
 
     def test_result_invariant_on_construction(self):
         g = default_gate_set()
         result = best_approximation(X, g, 6)
         rebuilt = ApproxResult(result.symbols, result.achieved_distance, X, result.expansions)
-        assert abs(recomputed_distance(rebuilt, g) - rebuilt.achieved_distance) <= 1e-12
+        recomputed = phase_invariant_distance(product_operator(rebuilt.symbols, g), rebuilt.target)
+        assert abs(recomputed - rebuilt.achieved_distance) <= 1e-12
 
     def test_monotone_in_length(self, rng):
         g = default_gate_set()
@@ -182,18 +182,19 @@ class TestApproximate:
         second = best_approximation(X, g, 10)
         assert (first.symbols, first.expansions) == (second.symbols, second.expansions)
         assert first.achieved_distance.hex() == second.achieved_distance.hex()
-        assert abs(recomputed_distance(first, g) - first.achieved_distance) <= 1e-12
+        recomputed = phase_invariant_distance(product_operator(first.symbols, g), first.target)
+        assert abs(recomputed - first.achieved_distance) <= 1e-12
 
     def test_contract_errors(self):
         g = default_gate_set()
         with pytest.raises(ContractError, match="epsilon"):
-            approximate(X, g, 0.0, 4)
+            best_approximation(X, g, 4, epsilon=0.0)
         with pytest.raises(ContractError, match="unitary"):
-            approximate(Operator(np.diag([1.0, 2.0])), g, 0.1, 4)
+            best_approximation(Operator(np.diag([1.0, 2.0])), g, 4, epsilon=0.1)
         with pytest.raises(ContractError, match="dim"):
-            approximate(identity(3), g, 0.1, 4)
+            best_approximation(identity(3), g, 4, epsilon=0.1)
         with pytest.raises(ContractError, match="max_len"):
-            approximate(X, g, 0.1, 0)
+            best_approximation(X, g, 0, epsilon=0.1)
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
     def test_search_inputs_must_be_positive_and_finite(self, bad):
@@ -202,10 +203,8 @@ class TestApproximate:
             best_approximation(X, g, 4, net_radius=bad)
         with pytest.raises(ContractError, match="epsilon"):
             best_approximation(X, g, 4, epsilon=bad)
-        with pytest.raises(ContractError, match="epsilon"):
-            approximate(X, g, bad, 4)
         with pytest.raises(ContractError, match="net radius"):
-            approximate(X, g, 0.1, 4, net_radius=bad)
+            best_approximation(X, g, 4, epsilon=0.1, net_radius=bad)
 
     def test_tape_round_trip(self):
         g = default_gate_set()

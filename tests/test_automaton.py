@@ -248,7 +248,7 @@ class TestReplicate:
         def corrupting(t):
             cells = list(t.cells)
             cells[0] = 3 if cells[0] != 3 else 2  # stays decodable, wrong contents
-            return t, Tape(t.alphabet_size, tuple(cells), t.head)
+            return Tape(t.alphabet_size, tuple(cells), t.head)
 
         monkeypatch.setattr(qreplica.automaton, "replicate_tape", corrupting)
         with pytest.raises(CorruptedHeredityError):
@@ -261,7 +261,7 @@ class TestReplicate:
         def corrupting(t):
             cells = list(t.cells)
             cells[1] = 1  # overwrite the first separator
-            return t, Tape(t.alphabet_size, tuple(cells), t.head)
+            return Tape(t.alphabet_size, tuple(cells), t.head)
 
         monkeypatch.setattr(qreplica.automaton, "replicate_tape", corrupting)
         with pytest.raises(UndecodableProgramError):

@@ -1,16 +1,17 @@
 """CLI behavior: reports, exit codes, input validation, reproducibility."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import qreplica.cli as cli
 from qreplica import config
-from qreplica.approx import default_gate_set, gate_set_to_json
+from qreplica.approx import GateSet, default_gate_set, gate_set_to_json
 from qreplica.automaton import automaton_to_json, demo_automaton
 from qreplica.errors import ReplicationIntegrityError
-from qreplica.linalg import Operator, operator_to_json
+from qreplica.linalg import Operator, identity, operator_to_json
 
 
 @pytest.fixture
@@ -302,3 +303,56 @@ class TestOutputPlumbing:
         second = capsys.readouterr().out
         assert code1 == code2 == 0
         assert first == second
+
+
+class TestJsonArguments:
+    """A JSON argument names a file to read, or else is the JSON text itself."""
+
+    def test_long_inline_json_reads_like_the_same_file(self, capsys, tmp_path):
+        text = json.dumps(gate_set_to_json(GateSet((identity(2),) * 4, ("a", "b", "c", "d"))))
+        # Longer than NAME_MAX (255 bytes), so no file can have this name.
+        assert len(text.encode()) == 349
+        path = tmp_path / "gates.json"
+        path.write_text(text)
+        reports = []
+        for gates in (text, str(path)):
+            assert cli.main(["tape-run", "--tape", "n=4;cells=3,1;head=0", "--gates", gates]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    @staticmethod
+    def _one_error_line(capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert (code, captured.out) == (2, "")
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "gates.json"
+        path.write_bytes(b'{"gates": "\xff"}')
+        line = self._one_error_line(capsys, ["tape-run", "--tape", "n=2;cells=1;head=0", "--gates", str(path)])
+        assert "not UTF-8" in line
+
+    def test_directory(self, capsys, tmp_path):
+        self._one_error_line(capsys, ["tape-run", "--tape", "n=2;cells=1;head=0", "--gates", str(tmp_path)])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"dim":1,"amps":[[1' + "0" * 400 + ',0]]}',
+            '{"dim":2,"amps":[[1e200,0],[0,0]]}',
+            '{"dim":2,"amps":[[NaN,0],[0,0]]}',
+            '{"dim":2,"amps":[[Infinity,0],[0,0]]}',
+            '{"dim":2,"amps":[[0.6,0],[0,0.6]]}',
+            '{"dim":1,"amps":[[1' + "0" * 5000 + ',0]]}',
+            "[" * 100000,
+        ],
+        ids=["400-digit", "overflowing-norm", "nan", "infinity", "non-unit", "5000-digit", "deep-nesting"],
+    )
+    def test_malformed_payload(self, capsys, golden_gates_file, payload):
+        argv = ["tape-run", "--tape", "n=2;cells=1;head=0", "--gates", golden_gates_file, "--payload", payload]
+        self._one_error_line(capsys, argv)

@@ -24,11 +24,15 @@ from qreplica.linalg import (
     random_unitary,
     state_from_json,
     state_to_json,
-    tensor_op,
     tensor_state,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def kron(a: Operator, b: Operator) -> Operator:
+    """The operator tensor product, with a on the slow index as in tensor_state."""
+    return Operator(np.kron(a.entries, b.entries))
 
 
 class TestStateVector:
@@ -53,10 +57,11 @@ class TestStateVector:
             StateVector(np.array([bad, 0.0]))
 
     def test_overflowing_norm_of_finite_amplitudes(self):
-        # Every amplitude is finite but the squared norm overflows: numpy warns
-        # of the overflow, and the check reports an infinite norm.
+        # Every amplitude is finite but the squared norm overflows: the check
+        # reports an infinite norm, and numpy's overflow warning stays silent.
         message = "state norm inf deviates from 1 beyond NORM_TOL"
-        with pytest.warns(RuntimeWarning, match="^overflow encountered in dot$"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ContractError, match=f"^{message}$"):
                 StateVector(np.array([1e200, 0.0]))
 
@@ -119,7 +124,10 @@ def test_state_check_matches_the_two_scan_form(seed, dim, scale, injected):
     amps = z / np.linalg.norm(z) * scale
     for where, value in injected:
         amps[int(where * dim)] = value
-    assert _outcome(StateVector, amps) == _outcome(reference_state_check, amps)
+    result, caught = _outcome(StateVector, amps)
+    # The reference's np.linalg.norm warns when the norm overflows; StateVector never warns.
+    assert caught == []
+    assert result == _outcome(reference_state_check, amps)[0]
 
 
 def _outcome(check, amps):
@@ -166,13 +174,14 @@ class TestTensorOrdering:
         assert out.dim == 9
         assert np.argmax(np.abs(out.amps)) == 2 * 3 + 1
 
-    def test_tensor_op_identity(self):
-        out = tensor_op(identity(2), identity(2))
-        np.testing.assert_array_equal(out.entries, np.eye(4))
+    def test_kron_of_identities_fixes_product_states(self, rng):
+        x, y = random_state(2, rng), random_state(3, rng)
+        out = apply(kron(identity(2), identity(3)), tensor_state(x, y))
+        np.testing.assert_array_equal(out.amps, tensor_state(x, y).amps)
 
     def test_x_tensor_i_on_00(self):
         x = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
-        joint = tensor_op(x, identity(2))
+        joint = kron(x, identity(2))
         out = apply(joint, tensor_state(basis_state(2, 0), basis_state(2, 0)))
         np.testing.assert_allclose(out.amps, basis_state(4, 2).amps, atol=1e-15)
 
@@ -180,7 +189,7 @@ class TestTensorOrdering:
         """(A⊗B)(x⊗y) = (Ax)⊗(By), computed densely on both sides."""
         a, b = random_unitary(3, rng), random_unitary(3, rng)
         x, y = random_state(3, rng), random_state(3, rng)
-        left = apply(tensor_op(a, b), tensor_state(x, y))
+        left = apply(kron(a, b), tensor_state(x, y))
         right = tensor_state(apply(a, x), apply(b, y))
         np.testing.assert_allclose(left.amps, right.amps, atol=1e-12)
 
@@ -189,7 +198,7 @@ class TestTensorOrdering:
             da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
             a, b = random_unitary(da, rng), random_unitary(db, rng)
             x, y = random_state(da, rng), random_state(db, rng)
-            left = apply(tensor_op(a, b), tensor_state(x, y))
+            left = apply(kron(a, b), tensor_state(x, y))
             right = tensor_state(apply(a, x), apply(b, y))
             np.testing.assert_allclose(left.amps, right.amps, atol=1e-12)
 

@@ -1,12 +1,12 @@
 """Byte oracle for the shared sequence kernel ``linalg.apply_sequence``.
 
 The reference functions below are test-only copies of the earlier per-step
-forms: ``run_tape`` applied one ``linalg.apply`` per cell while shifting a
-``Tape`` head, ``scattering_apply`` peeled program digits in a loop, and
-``product_operator``, ``sequence_unitary`` and the exhaustive oracle of
-criterion 6 each multiplied their own gate loop. Every kernel caller must
-reproduce them byte for byte, except ``sequence_unitary``, whose fold moved
-from the right to the left and so may differ by rounding.
+forms: ``run_tape`` applied one ``linalg.apply`` per cell while stepping a
+tape head (``reference_head_order``), ``scattering_apply`` peeled program
+digits in a loop, and ``product_operator``, ``sequence_unitary`` and the
+exhaustive oracle of criterion 6 each multiplied their own gate loop. Every
+kernel caller must reproduce them byte for byte, except ``sequence_unitary``,
+whose fold moved from the right to the left and so may differ by rounding.
 """
 
 import itertools
@@ -21,16 +21,26 @@ from qreplica.approx import GateSet, product_operator, sequence_unitary
 from qreplica.automaton import ProgramRegistry, scattering_apply, translate
 from qreplica.basis_ops import apply_controlled
 from qreplica.linalg import Operator, apply, apply_sequence, basis_state, random_state, random_unitary
-from qreplica.tape import Tape, read_symbol, replicate_tape, run_tape, shift_tape, tape_to_state
+from qreplica.tape import Tape, replicate_tape, run_tape, tape_to_state
 from qreplica.verify import _exhaustive_best_distance
 
 
-def reference_run_tape(t, gates, payload):
-    cur = t
-    out = payload
+def reference_head_order(t):
+    """Cell positions in the order a head stepping from t.head reads them.
+
+    Head h reads cell h+1, which sits at position length-1-h of ``cells``;
+    each step advances the head one cell cyclically.
+    """
+    head = t.head
     for _ in range(t.length):
-        out = apply(gates[read_symbol(cur)], out)
-        cur = shift_tape(cur)
+        yield t.length - 1 - head
+        head = (head + 1) % t.length
+
+
+def reference_run_tape(t, gates, payload):
+    out = payload
+    for pos in reference_head_order(t):
+        out = apply(gates[t.cells[pos]], out)
     return out
 
 
@@ -82,16 +92,6 @@ def reference_exhaustive_best_distance(target, g, max_len):
     return best
 
 
-def reference_copy_order(t):
-    """Cell positions in the order the shifting head read them."""
-    cur = t
-    order = []
-    for _ in range(t.length):
-        order.append(t.length - 1 - cur.head)
-        cur = shift_tape(cur)
-    return order
-
-
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 4),
@@ -130,11 +130,10 @@ def test_kernel_callers_match_the_step_by_step_forms(seed, n, dim, length, head)
     assert float(np.max(drift)) <= 1e-13
 
     with mock.patch.object(tape_module, "apply_controlled", wraps=apply_controlled) as spy:
-        parent, child = replicate_tape(headed)
+        child = replicate_tape(headed)
     certified = [int(np.argmax(np.abs(call.args[1].amps))) // n for call in spy.call_args_list]
     # Each distinct symbol is certified once, at its first cell in head-read order.
-    assert certified == list(dict.fromkeys(cells[pos] for pos in reference_copy_order(headed)))
-    assert parent is headed
+    assert certified == list(dict.fromkeys(cells[pos] for pos in reference_head_order(headed)))
     assert child == headed
 
 

@@ -1,4 +1,4 @@
-"""Tape encoding, cyclic shifts, sequential gate application, certified copying.
+"""Tape encoding, sequential gate application, certified copying.
 
 The joint-space oracle here is rebuilt from dense matrices inside the test
 (a projector ⊗ block sum and an explicitly constructed rotation permutation),
@@ -28,10 +28,8 @@ from qreplica.tape import (
     format_tape,
     joint_tape_evolution,
     parse_tape,
-    read_symbol,
     replicate_tape,
     run_tape,
-    shift_tape,
     tape_from_json,
     tape_index,
     tape_to_json,
@@ -140,30 +138,6 @@ class TestTapeState:
             tape_to_state(Tape(2, (1, 0, 1, 1)))
 
 
-class TestShift:
-    def test_single_cell_fixed_point(self):
-        t = Tape(2, (1,))
-        assert shift_tape(t).head == 0
-
-    def test_wraparound(self):
-        assert shift_tape(Tape(2, (0, 1, 1), head=2)).head == 0
-
-    def test_s_shifts_restore(self):
-        """Cycling through every cell returns the tape to its initial state."""
-        for s in range(1, 7):
-            t = Tape(3, tuple(i % 3 for i in range(s)), head=0)
-            cur = t
-            for _ in range(s):
-                cur = shift_tape(cur)
-            assert cur == t
-
-    def test_read_follows_head(self):
-        t = Tape(4, (3, 2, 1))  # cell 1 holds symbol 1, cell 3 holds symbol 3
-        assert read_symbol(t) == 1
-        assert read_symbol(shift_tape(t)) == 2
-        assert read_symbol(shift_tape(shift_tape(t))) == 3
-
-
 class TestRunTape:
     def test_identity_cells(self, rng):
         payload = random_state(3, rng)
@@ -257,23 +231,24 @@ class TestJointEvolution:
 
 class TestReplicateTape:
     def test_child_matches_parent(self):
-        parent, child = replicate_tape(Tape(4, (3, 0, 1, 2), head=1))
+        parent = Tape(4, (3, 0, 1, 2), head=1)
+        child = replicate_tape(parent)
         assert child.cells == parent.cells == (3, 0, 1, 2)
         assert child.head == parent.head
 
     def test_blank_tape(self):
-        _, child = replicate_tape(Tape(3, (0, 0, 0)))
+        child = replicate_tape(Tape(3, (0, 0, 0)))
         assert child.cells == (0, 0, 0)
 
     def test_exhaustive_small_alphabet(self):
         """All 81 four-cell ternary tapes copy exactly."""
         for cells in itertools.product(range(3), repeat=4):
-            _, child = replicate_tape(Tape(3, cells))
+            child = replicate_tape(Tape(3, cells))
             assert child.cells == cells
 
     def test_idempotent_in_content(self):
-        _, child = replicate_tape(Tape(5, (4, 1, 0, 3)))
-        _, grandchild = replicate_tape(child)
+        child = replicate_tape(Tape(5, (4, 1, 0, 3)))
+        grandchild = replicate_tape(child)
         assert grandchild.cells == child.cells
 
     def test_broken_copier_raises(self, monkeypatch):
@@ -301,13 +276,14 @@ class TestReplicateTape:
 
     def test_tape_without_the_broken_symbol_still_copies(self, monkeypatch):
         monkeypatch.setattr(qreplica.tape, "cloner", self._broken_on(2))
-        parent, child = replicate_tape(Tape(3, (1, 0, 1, 1), head=1))
-        assert child == parent
+        parent = Tape(3, (1, 0, 1, 1), head=1)
+        assert replicate_tape(parent) == parent
 
     def test_each_distinct_symbol_is_certified_once(self):
         cells = tuple(int(c) for c in np.random.default_rng(5).integers(0, 4, 240))
+        parent = Tape(4, cells, head=17)
         with mock.patch.object(qreplica.tape, "apply_controlled", wraps=apply_controlled) as spy:
-            parent, child = replicate_tape(Tape(4, cells, head=17))
+            child = replicate_tape(parent)
         assert child == parent
         assert spy.call_count <= 4
 
