@@ -9,11 +9,13 @@ answer certifies that nothing in the visited net beat the requested precision,
 not that no sequence exists.
 
 Each level is built with one stacked matrix product. The net is indexed by a
-grid on a phase-invariant projection of each product (see ``_VisitedNet``);
-the grid only proposes merge candidates, and every merge is confirmed with the
-exact test |tr(A†B)| >= d(1 − r²). Overlaps within 1e-12 of that threshold
-are recomputed as a matrix-vector product of the net with the new product
-before they decide, so indexing changes which pairs are compared, never which
+grid on three phase-invariant coordinates of each product. A merge moves each
+coordinate by at most half a cell side, so a product's merge partners lie
+within 2 cells per axis of it (see ``_VisitedNet``). The grid only proposes
+merge candidates, and every merge is confirmed with the exact test
+|tr(A†B)| >= d(1 − r²). Overlaps within 1e-12 of that threshold are
+recomputed as a matrix-vector product of the net with the new product before
+they decide, so indexing changes which pairs are compared, never which
 products merge or what the search returns.
 
 Ties between equally good sequences are broken toward shorter length, then
@@ -141,17 +143,32 @@ def product_operator(symbols, g: GateSet) -> Operator:
 # decision, before they decide.
 _EXACT_MARGIN = 1e-12
 # Net lookups gather at most this many candidate pairs at once (unless one
-# product alone has more), which bounds the search's working memory.
+# probed run of one product alone has more), which bounds the search's working
+# memory.
 _PAIR_BLOCK = 1 << 15
 
 
 class _VisitedNet:
     """Partial products kept so far; anything within the radius of one is merged.
 
-    Kept products are indexed by a grid on p(A) = (|A₀₀|², Re A₀₀·conj(A₁₀)).
-    A merge means min_θ‖e^{iθ}A − B‖_F ≤ √(2·dim)·r, and each coordinate of p
-    is 2-Lipschitz in that distance, so every merge partner of a product lies
-    in its own grid cell or one of the eight around it.
+    Kept products are indexed by a grid on three phase-invariant coordinates,
+    p(A) = (|A₀₀|², Re A₀₀·conj(A₁₀), Re A₀₀·conj(A₀₁)): entries of the
+    projectors xx† onto x = column 0 of A and onto column 0 of A†.
+
+    Each coordinate moves by at most reach = √dim·r across a merge. A merge
+    means |tr W| ≥ dim·(1 − r²) for W = A†B. For unit vectors x, x′ with
+    c = |⟨x, x′⟩|, xx† − x′x′† has eigenvalues ±√(1 − c²), which bound each of
+    its entries. For column 0, c = |W₀₀|. Deleting row 0 and column 0 of W
+    leaves a block whose singular values are 1 but one, which is c, so
+    |tr W| ≤ dim − 2 + 2c, and 1 − c² ≤ 2(1 − c) ≤ dim − |tr W| ≤ dim·r². The
+    same holds for column 0 of A†, with W = AB†.
+
+    The cell side is at least 2·reach, so a merge partner's coordinate lies
+    within half a side of the query's u, in cell floor(u/side − ½) or the one
+    after it. Two cells per axis are 8 cells, which are 4 runs of 2
+    consecutive keys. Each coordinate lies in an interval of length 1, so no
+    partner is more than 1 away: a side of 2 already covers every radius, and
+    the side is capped at 4, where the grid is a single cell.
     """
 
     def __init__(self, dim: int, radius: float):
@@ -159,26 +176,36 @@ class _VisitedNet:
         self._threshold = dim * (1.0 - radius * radius)
         self._dim = dim
         # 1e-12 in r² and 1e-6 in the side absorb rounding in the overlaps and
-        # in p; p lies in a unit square, so a wider cell gains nothing.
-        reach = np.sqrt(2.0 * dim * (radius * radius + 1e-12))
+        # in p.
+        reach = np.sqrt(dim * (radius * radius + 1e-12))
         self._side = min(2.0 * reach * (1.0 + 1e-6), 4.0)
-        span = int(3.0 / self._side) + 4
+        # Shifted coordinates lie in [0, 1.5], so every cell and probe index
+        # lies in [0, span) and span³ < 2⁶³ (the side is at least 2e-6).
+        span = int(1.5 / self._side) + 4
         self._span = span
-        # The nine cells around a cell are three runs of consecutive keys.
-        self._runs = np.arange(-1, 2) * span - 1
+        # The 8 cells from a base cell are 4 runs of 2 keys along the last axis.
+        self._runs = np.array([0, 1, span, span + 1], dtype=np.int64) * span
         self._buf = np.empty((256, dim * dim), dtype=complex)
-        self._keys = np.empty(256, dtype=np.int64)
         self._count = 0
         self._order = np.empty(0, dtype=np.intp)
         self._sorted = np.empty(0, dtype=np.int64)
 
-    def _cell_keys(self, flats: np.ndarray) -> np.ndarray:
-        a, c = flats[:, 0], flats[:, self._dim]
-        x = a.real * a.real + a.imag * a.imag
-        y = (a * c.conj()).real
-        ix = np.floor(x / self._side).astype(np.int64) + 1
-        iy = np.floor((y + 1.0) / self._side).astype(np.int64) + 1
-        return ix * self._span + iy
+    def _keys(self, flats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each product's cell key and the key its probe runs start from."""
+        a = flats[:, 0]
+        # A 1×1 product has no off-diagonal entries: its projectors' are 0.
+        b, c = (flats[:, 1], flats[:, self._dim]) if self._dim > 1 else (0.0 * a, 0.0 * a)
+        coords = (
+            a.real * a.real + a.imag * a.imag,
+            a.real * c.real + a.imag * c.imag + 1.0,
+            a.real * b.real + a.imag * b.imag + 1.0,
+        )
+        cell = base = 0
+        for u in coords:
+            scaled = u / self._side
+            cell = cell * self._span + np.floor(scaled).astype(np.int64) + 1
+            base = base * self._span + np.floor(scaled - 0.5).astype(np.int64) + 1
+        return cell, base
 
     def admit(self, flats: np.ndarray) -> np.ndarray:
         """Keep each product no earlier one covers; return the kept indices.
@@ -186,15 +213,15 @@ class _VisitedNet:
         Products are taken in order, so of two that cover each other only the
         first is kept, exactly as if they were added one at a time.
         """
-        keys = self._cell_keys(flats)
+        cells, bases = self._keys(flats)
         covered = np.zeros(len(flats), dtype=bool)
-        covering, _ = self._merges(flats, keys, self._buf, self._sorted, self._order)
+        covering, _ = self._merges(flats, bases, self._buf, self._sorted, self._order)
         covered[covering] = True
         fresh = np.flatnonzero(~covered)
-        fresh_flats, fresh_keys = flats[fresh], keys[fresh]
-        order = np.argsort(fresh_keys)
+        fresh_flats, fresh_cells = flats[fresh], cells[fresh]
+        order = np.argsort(fresh_cells)
         later, earlier = self._merges(
-            fresh_flats, fresh_keys, fresh_flats, fresh_keys[order], order, earlier_only=True
+            fresh_flats, bases[fresh], fresh_flats, fresh_cells[order], order, earlier_only=True
         )
         kept = np.ones(len(fresh), dtype=bool)
         by_later = np.lexsort((earlier, later))
@@ -202,68 +229,74 @@ class _VisitedNet:
             if kept[k]:
                 kept[j] = False
         admitted = fresh[kept]
-        self._add(flats[admitted], keys[admitted])
+        self._add(flats[admitted], cells[admitted])
         return admitted
 
-    def _add(self, flats: np.ndarray, keys: np.ndarray) -> None:
+    def _add(self, flats: np.ndarray, cells: np.ndarray) -> None:
+        """Append products and merge their sorted keys into the index."""
         end = self._count + len(flats)
-        if end > len(self._keys):
-            size = len(self._keys)
+        if end > len(self._buf):
+            size = len(self._buf)
             while size < end:
                 size *= 2
             grown = np.empty((size, self._buf.shape[1]), dtype=complex)
             grown[: self._count] = self._buf[: self._count]
             self._buf = grown
-            grown_keys = np.empty(size, dtype=np.int64)
-            grown_keys[: self._count] = self._keys[: self._count]
-            self._keys = grown_keys
         self._buf[self._count : end] = flats
-        self._keys[self._count : end] = keys
+        order = np.argsort(cells)
+        new_sorted = cells[order]
+        at = np.searchsorted(self._sorted, new_sorted)
+        self._sorted = np.insert(self._sorted, at, new_sorted)
+        self._order = np.insert(self._order, at, order + self._count)
         self._count = end
-        self._order = np.argsort(self._keys[:end])
-        self._sorted = self._keys[:end][self._order]
 
-    def _merges(self, queries, keys, store, sorted_keys, order, *, earlier_only=False):
+    def _merges(self, queries, bases, store, sorted_keys, order, *, earlier_only=False):
         """Pairs (query q, stored e) with |tr(store[e]†queries[q])| >= threshold.
 
-        ``sorted_keys``/``order`` index the stored products by grid cell. With
-        ``earlier_only`` the store is the query set and only e < q is paired.
+        ``bases`` are the queries' probe base keys; ``sorted_keys``/``order``
+        index the stored products by cell key. With ``earlier_only`` the store
+        is the query set and only e < q is paired.
 
         An overlap near the threshold is recomputed the way one matrix-vector
         product of the whole net with the query computes it, so a decision at
         the threshold is the one an unindexed scan of the net makes.
         """
-        found_q, found_e = [], []
-        conj = queries.conj()
-        # Queries are visited in cell order, so each row of needles is sorted.
-        by_cell = np.argsort(keys)
-        runs = self._runs[:, None] + keys[by_cell]
+        if not len(sorted_keys):
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        # Queries are visited in base key order, so each run's needles are sorted.
+        by_base = np.argsort(bases)
+        runs = (self._runs[:, None] + bases[by_base]).ravel()
         lo = np.searchsorted(sorted_keys, runs)
-        counts = (np.searchsorted(sorted_keys, runs + 3) - lo).T
-        lo = lo.T
-        totals = np.cumsum(counts.sum(axis=1))
+        # Most runs are empty: look for a run's end only if its first key is in it.
+        ends = runs + 2
+        first = sorted_keys[np.minimum(lo, len(sorted_keys) - 1)]
+        slots = np.flatnonzero((lo < len(sorted_keys)) & (first < ends))
+        lo = lo[slots]
+        counts = np.searchsorted(sorted_keys, ends[slots]) - lo
+        slot_queries = by_base[slots % len(bases)]
+        totals = np.cumsum(counts)
+        found_q, found_e = [], []
         start = 0
-        while start < len(queries):
-            base = totals[start - 1] if start else 0
-            stop = int(np.searchsorted(totals, base + _PAIR_BLOCK, "right"))
-            stop = min(max(stop, start + 1), len(queries))
-            block_counts = counts[start:stop].ravel()
-            pairs = int(block_counts.sum())
-            if pairs:
-                slot = np.repeat(np.arange(block_counts.size), block_counts)
-                skip = np.arange(pairs) - (np.cumsum(block_counts) - block_counts)[slot]
-                e = order[lo[start:stop].ravel()[slot] + skip]
-                q = by_cell[start + slot // len(self._runs)]
-                if earlier_only:
-                    q, e = q[e < q], e[e < q]
-                overlaps = np.abs(np.einsum("ij,ij->i", store[e], conj[q]))
-                # Two rows, because numpy hands a one-row product to a dot
-                # kernel that rounds differently.
-                for i in np.flatnonzero(np.abs(overlaps - self._threshold) <= _EXACT_MARGIN):
-                    overlaps[i] = np.abs(store[[e[i], e[i]]] @ conj[q[i]])[0]
-                hit = overlaps >= self._threshold
-                found_q.append(q[hit])
-                found_e.append(e[hit])
+        while start < len(slots):
+            done = totals[start - 1] if start else 0
+            stop = int(np.searchsorted(totals, done + _PAIR_BLOCK, "right"))
+            stop = max(stop, start + 1)
+            block = counts[start:stop]
+            slot = np.repeat(np.arange(stop - start), block)
+            skip = np.arange(int(totals[stop - 1] - done)) - (np.cumsum(block) - block)[slot]
+            e = order[lo[start:stop][slot] + skip]
+            q = slot_queries[start:stop][slot]
+            if earlier_only:
+                q, e = q[e < q], e[e < q]
+            conj = queries[q].conj()
+            overlaps = np.abs(np.einsum("ij,ij->i", store[e], conj))
+            # Two rows, because numpy hands a one-row product to a dot
+            # kernel that rounds differently.
+            for i in np.flatnonzero(np.abs(overlaps - self._threshold) <= _EXACT_MARGIN):
+                overlaps[i] = np.abs(store[[e[i], e[i]]] @ conj[i])[0]
+            hit = overlaps >= self._threshold
+            found_q.append(q[hit])
+            found_e.append(e[hit])
             start = stop
         if not found_q:
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)

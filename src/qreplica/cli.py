@@ -61,6 +61,8 @@ def _load_json(text: str, what: str):
         source = Path(text).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{what}: file {text!r} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except IsADirectoryError as exc:
+        raise InputError(f"{what}: {text!r} is a directory, not a JSON file") from exc
     except OSError:
         source = text
     try:

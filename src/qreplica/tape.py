@@ -162,7 +162,14 @@ def replicate_tape(t: Tape) -> Tape:
 
 # -- text and JSON forms ------------------------------------------------------
 
-_TAPE_RE = re.compile(r"^n=(\d+);cells=([0-9]+(?:,[0-9]+)*);head=(\d+)$")
+_TAPE_RE = re.compile(r"^n=([0-9]+);cells=([0-9]+(?:,[0-9]+)*);head=([0-9]+)$")
+# Error lines carry at most this many characters of the tape text, and of the
+# reason it was refused (which may echo a number from it).
+_ECHO_LIMIT = 160
+
+
+def _clipped(text: str) -> str:
+    return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT] + "..."
 
 
 def format_tape(t: Tape) -> str:
@@ -173,13 +180,13 @@ def parse_tape(text: str) -> Tape:
     match = _TAPE_RE.match(text.strip())
     if match is None:
         raise InputError(
-            f"tape text {text!r} does not match 'n=<int>;cells=<int,int,...>;head=<int>'"
+            f"tape text {_clipped(text)!r} does not match 'n=<int>;cells=<int,int,...>;head=<int>'"
         )
     n, cells, head = match.groups()
     try:
         return Tape(int(n), tuple(int(c) for c in cells.split(",")), int(head))
     except (ContractError, ValueError) as exc:
-        raise InputError(f"tape text {text!r}: {exc}") from exc
+        raise InputError(f"tape text {_clipped(text)!r}: {_clipped(str(exc))}") from exc
 
 
 def tape_to_json(t: Tape) -> dict:

@@ -127,6 +127,13 @@ class TestApproximate:
         assert min(minima[length] for length in range(1, 13)) > 0.05
         assert result.achieved_distance == pytest.approx(minima[13], abs=1e-9)
 
+    def test_one_dimensional_gates_are_phases(self):
+        """Every 1×1 product is the identity up to phase, so the net merges
+        the first level into the root and the empty product is best."""
+        g = GateSet((Operator(np.array([[1j]])), Operator(np.array([[np.exp(0.3j)]]))))
+        result = best_approximation(Operator(np.array([[-1.0]])), g, 5)
+        assert (result.symbols, result.achieved_distance, result.expansions) == ((), 0.0, 3)
+
     def test_not_found_stays_above_epsilon(self):
         g = default_gate_set()
         assert best_approximation(X, g, 4, epsilon=1e-6).achieved_distance > 1e-6

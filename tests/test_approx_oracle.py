@@ -143,13 +143,36 @@ PINNED_AT_LENGTH_14 = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_AT_LENGTH_14))
-def test_length_14_results_are_pinned(name):
-    """Recorded with the unindexed search at the default net radius."""
-    target, symbols, expansions, distance = PINNED_AT_LENGTH_14[name]
-    result = best_approximation(target, default_gate_set(), 14)
+def assert_pinned(target, max_len, symbols, expansions, distance):
+    result = best_approximation(target, default_gate_set(), max_len)
     assert (result.symbols, result.expansions, result.achieved_distance.hex()) == (
         symbols,
         expansions,
         distance,
     )
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_AT_LENGTH_14))
+def test_length_14_results_are_pinned(name):
+    """Recorded with the unindexed search at the default net radius."""
+    target, symbols, expansions, distance = PINNED_AT_LENGTH_14[name]
+    assert_pinned(target, 14, symbols, expansions, distance)
+
+
+# Recorded before the net's grid took its third coordinate: indexing must not
+# change any result at depth either.
+PINNED_DEEPER = {
+    ("flip_x", 16): ((1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 1, 1), 129559, "0x1.a6b8a1ace12d5p-6"),
+    ("hadamard", 16): ((1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1), 129559, "0x1.d62b94e458f8cp-7"),
+    ("euler", 16): ((1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0, 1, 0, 1, 0, 0), 129559, "0x1.a94e6e24a4870p-7"),
+    ("euler", 18): (
+        (0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0),
+        514807,
+        "0x1.988f6959fce5dp-7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, max_len", sorted(PINNED_DEEPER))
+def test_deeper_results_are_pinned(name, max_len):
+    assert_pinned(PINNED_AT_LENGTH_14[name][0], max_len, *PINNED_DEEPER[name, max_len])

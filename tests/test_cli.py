@@ -320,6 +320,18 @@ class TestJsonArguments:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
 
+    def test_short_inline_json_reads_like_the_same_file(self, capsys, tmp_path):
+        text = json.dumps(gate_set_to_json(GateSet((identity(2),), ("a",))))
+        # Short enough to be a file name, but no such file exists.
+        assert len(text.encode()) < 255 and not (tmp_path / text).exists()
+        path = tmp_path / "gates.json"
+        path.write_text(text)
+        reports = []
+        for gates in (text, str(path)):
+            assert cli.main(["tape-run", "--tape", "n=1;cells=0;head=0", "--gates", gates]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
     @staticmethod
     def _one_error_line(capsys, argv):
         with warnings.catch_warnings():
@@ -338,7 +350,8 @@ class TestJsonArguments:
         assert "not UTF-8" in line
 
     def test_directory(self, capsys, tmp_path):
-        self._one_error_line(capsys, ["tape-run", "--tape", "n=2;cells=1;head=0", "--gates", str(tmp_path)])
+        line = self._one_error_line(capsys, ["tape-run", "--tape", "n=2;cells=1;head=0", "--gates", str(tmp_path)])
+        assert line == f"error: gate set: {str(tmp_path)!r} is a directory, not a JSON file"
 
     @pytest.mark.parametrize(
         "payload",

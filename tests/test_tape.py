@@ -298,9 +298,33 @@ class TestTextAndJson:
         assert t == Tape(2, (1, 0), 0)
 
     def test_bad_text(self):
-        for text in ("cells=1,0", "n=2;cells=;head=0", "n=2;cells=1,0;head=x", "n=two;cells=1;head=0"):
+        for text in (
+            "cells=1,0",
+            "n=2;cells=;head=0",
+            "n=2;cells=1,0;head=x",
+            "n=two;cells=1;head=0",
+            # Arabic-Indic digits: int() reads them, the format does not.
+            "n=٣;cells=1,0;head=٠",
+            "n=٣;cells=1,0;head=0",
+            "n=3;cells=1,0;head=٠",
+            "n=3;cells=١,0;head=0",
+        ):
             with pytest.raises(InputError):
                 parse_tape(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n=" + "7" * 5000 + ";cells=1;head=0",
+            "n=8;cells=" + "7" * 4000 + ";head=0",
+            "n=8;cells=7;head=" + "7" * 4000,
+        ],
+    )
+    def test_error_line_cuts_long_text_short(self, text):
+        with pytest.raises(InputError) as info:
+            parse_tape(text)
+        message = str(info.value)
+        assert message.startswith(f"tape text {text[:160] + '...'!r}: ") and len(message) < 400
 
     def test_out_of_range_symbol_in_text(self):
         with pytest.raises(InputError, match="alphabet"):
