@@ -8,15 +8,17 @@ The net radius is therefore the documented completeness resolution: a negative
 answer certifies that nothing in the visited net beat the requested precision,
 not that no sequence exists.
 
-Each level is built with one stacked matrix product. The net is indexed by a
-grid on three phase-invariant coordinates of each product. A merge moves each
-coordinate by at most half a cell side, so a product's merge partners lie
-within 2 cells per axis of it (see ``_VisitedNet``). The grid only proposes
-merge candidates, and every merge is confirmed with the exact test
-|tr(A†B)| >= d(1 − r²). Overlaps within 1e-12 of that threshold are
-recomputed as a matrix-vector product of the net with the new product before
-they decide, so indexing changes which pairs are compared, never which
-products merge or what the search returns.
+Each level is ranked from its parents, since |tr((G F)†T)| = |⟨F, G†T⟩|, and
+only its best products are built to decide it. A level is built in full, with
+one stacked matrix product, and admitted to the net only if another level
+grows from it. The net is indexed by a grid on three phase-invariant
+coordinates of each product. A merge moves each coordinate by at most half a
+cell side, so a product's merge partners lie within 2 cells per axis of it
+(see ``_VisitedNet``). The grid only proposes merge candidates, and every
+merge is confirmed with the exact test |tr(A†B)| >= d(1 − r²). Overlaps within
+1e-12 of that threshold are recomputed as a matrix-vector product of the net
+with the new product before they decide, so indexing changes which pairs are
+compared, never which products merge or what the search returns.
 
 Ties between equally good sequences are broken toward shorter length, then
 lexicographically smaller symbols (in application order), so every search is
@@ -214,48 +216,45 @@ class _VisitedNet:
         first is kept, exactly as if they were added one at a time.
         """
         cells, bases = self._keys(flats)
+        # Sorted once per level; a subset's order is the sorted one restricted.
+        by_cell, by_base = np.argsort(cells), np.argsort(bases)
         covered = np.zeros(len(flats), dtype=bool)
-        covering, _ = self._merges(flats, bases, self._buf, self._sorted, self._order)
+        covering, _ = self._merges(flats, bases, by_base, self._buf, self._sorted, self._order)
         covered[covering] = True
         fresh = np.flatnonzero(~covered)
         fresh_flats, fresh_cells = flats[fresh], cells[fresh]
-        order = np.argsort(fresh_cells)
+        by_cell, by_base = _restrict(by_cell, ~covered), _restrict(by_base, ~covered)
         later, earlier = self._merges(
-            fresh_flats, bases[fresh], fresh_flats, fresh_cells[order], order, earlier_only=True
+            fresh_flats, bases[fresh], by_base, fresh_flats, fresh_cells[by_cell], by_cell, earlier_only=True
         )
         kept = np.ones(len(fresh), dtype=bool)
         by_later = np.lexsort((earlier, later))
         for j, k in zip(later[by_later].tolist(), earlier[by_later].tolist()):
             if kept[k]:
                 kept[j] = False
-        admitted = fresh[kept]
-        self._add(flats[admitted], cells[admitted])
-        return admitted
+        self._add(fresh_flats[kept], fresh_cells[kept], _restrict(by_cell, kept))
+        return fresh[kept]
 
-    def _add(self, flats: np.ndarray, cells: np.ndarray) -> None:
-        """Append products and merge their sorted keys into the index."""
+    def _add(self, flats: np.ndarray, cells: np.ndarray, order: np.ndarray) -> None:
+        """Append products and merge their keys, ``cells[order]``, into the index."""
         end = self._count + len(flats)
         if end > len(self._buf):
-            size = len(self._buf)
-            while size < end:
-                size *= 2
-            grown = np.empty((size, self._buf.shape[1]), dtype=complex)
+            grown = np.empty((max(end, 2 * len(self._buf)), self._buf.shape[1]), dtype=complex)
             grown[: self._count] = self._buf[: self._count]
             self._buf = grown
         self._buf[self._count : end] = flats
-        order = np.argsort(cells)
         new_sorted = cells[order]
         at = np.searchsorted(self._sorted, new_sorted)
         self._sorted = np.insert(self._sorted, at, new_sorted)
         self._order = np.insert(self._order, at, order + self._count)
         self._count = end
 
-    def _merges(self, queries, bases, store, sorted_keys, order, *, earlier_only=False):
+    def _merges(self, queries, bases, by_base, store, sorted_keys, order, *, earlier_only=False):
         """Pairs (query q, stored e) with |tr(store[e]†queries[q])| >= threshold.
 
-        ``bases`` are the queries' probe base keys; ``sorted_keys``/``order``
-        index the stored products by cell key. With ``earlier_only`` the store
-        is the query set and only e < q is paired.
+        ``bases`` are the queries' probe base keys and ``by_base`` sorts them;
+        ``sorted_keys``/``order`` index the stored products by cell key. With
+        ``earlier_only`` the store is the query set and only e < q is paired.
 
         An overlap near the threshold is recomputed the way one matrix-vector
         product of the whole net with the query computes it, so a decision at
@@ -264,7 +263,6 @@ class _VisitedNet:
         if not len(sorted_keys):
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
         # Queries are visited in base key order, so each run's needles are sorted.
-        by_base = np.argsort(bases)
         runs = (self._runs[:, None] + bases[by_base]).ravel()
         lo = np.searchsorted(sorted_keys, runs)
         # Most runs are empty: look for a run's end only if its first key is in it.
@@ -303,6 +301,11 @@ class _VisitedNet:
         return np.concatenate(found_q), np.concatenate(found_e)
 
 
+def _restrict(perm: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The masked elements' indices among themselves, in ``perm``'s order."""
+    return (np.cumsum(mask) - 1)[perm[mask[perm]]]
+
+
 def _require_positive_finite(name: str, value: float) -> None:
     if not (np.isfinite(value) and value > 0.0):
         raise ContractError(f"{name} must be positive and finite, got {value}")
@@ -317,6 +320,9 @@ def best_approximation(
     net_radius: float | None = None,
 ) -> ApproxResult:
     """Best product of length ≤ max_len, by level-by-level enumeration.
+
+    Each level is evaluated from its parents, then expanded (built in full and
+    admitted to the visited net) only if another level follows.
 
     With ``epsilon`` set, the search stops after the first level at which the
     best distance so far reaches epsilon (finishing that level, so the result
@@ -337,6 +343,8 @@ def best_approximation(
     dim, n = g.dim, g.n
     gate_mats = np.stack([gate.entries for gate in g.gates])
     target_flat = target.entries.reshape(-1)
+    # Column l is conj(G_l†T): a parent F times it is conj(tr((G_l F)†T)).
+    lifted = (gate_mats.conj().transpose(0, 2, 1) @ target.entries).reshape(n, -1).conj().T
 
     def distance_of(flat: np.ndarray) -> float:
         overlap = abs(np.vdot(flat, target_flat)) / dim
@@ -354,23 +362,29 @@ def best_approximation(
     last_symbols: list[np.ndarray] = []
 
     for level in range(max_len):
-        if epsilon is not None and best_dist <= epsilon:
+        if (epsilon is not None and best_dist <= epsilon) or not len(frontier):
             break
-        if not len(frontier):
-            break
-        # Product i·n + l is gate l applied after kept product i: the level
-        # stays in lexicographic order of symbol sequences.
-        products = np.matmul(gate_mats[None], frontier[:, None]).reshape(-1, dim, dim)
-        flats = products.reshape(len(products), -1)
-        expansions += len(flats)
+        # Evaluate. Product c = i·n + l is gate l applied after kept product i:
+        # the level stays in lexicographic order of symbol sequences.
+        expansions += len(frontier) * n
+        screened = np.abs(frontier.reshape(len(frontier), -1) @ lifted).reshape(-1)
+        # Screened and built overlaps differ by far less than the margin, so this
+        # keeps the best and all near it, built with the stacked product's bits.
+        picks = np.flatnonzero(screened >= screened.max() - 2.0 * _EXACT_MARGIN)
+        flats = np.matmul(gate_mats[picks % n], frontier[picks // n]).reshape(len(picks), -1)
+        # One row more: numpy rounds a one-row product in another (dot) kernel.
+        overlaps = np.abs(flats[np.r_[: len(picks), 0]] @ target_flat.conj())[:-1]
         # Same length throughout the level, so the first best one wins it, and
         # it replaces a shorter best only by being strictly better.
-        overlaps = np.abs(flats @ target_flat.conj())
-        for i in np.flatnonzero(overlaps >= overlaps.max() - _EXACT_MARGIN):
-            dist = distance_of(flats[i])
+        for j in np.flatnonzero(overlaps >= overlaps.max() - _EXACT_MARGIN):
+            dist = distance_of(flats[j])
             if dist < best_dist:
-                best_dist, best_at = dist, (level, int(i))
-        kept = net.admit(flats)
+                best_dist, best_at = dist, (level, int(picks[j]))
+        # Expand: build and admit only a level that another grows from.
+        if level == max_len - 1 or (epsilon is not None and best_dist <= epsilon):
+            break
+        products = np.matmul(gate_mats[None], frontier[:, None]).reshape(-1, dim, dim)
+        kept = net.admit(products.reshape(len(products), -1))
         parents.append(kept // n)
         last_symbols.append(kept % n)
         frontier = products[kept]

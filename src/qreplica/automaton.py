@@ -68,12 +68,13 @@ class ProgramRegistry:
         names = [name for name, _ in normalized]
         if len(set(names)) != len(names):
             raise ContractError("segment names must be unique")
+        n = gate_set.n
         for name, cells in normalized:
             for c in cells:
-                if not 1 <= c < gate_set.n:
+                if not 1 <= c < n:
                     raise ContractError(
                         f"segment {name!r} holds symbol {c}; symbols must lie in "
-                        f"[1, {gate_set.n - 1}] (0 is the separator)"
+                        f"[1, {n - 1}] (0 is the separator)"
                     )
         object.__setattr__(self, "segments", normalized)
 

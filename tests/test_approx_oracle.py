@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from qreplica import config
 from qreplica.approx import (
     GateSet,
+    _VisitedNet,
     best_approximation,
     default_gate_set,
     rotation_x,
@@ -129,6 +130,89 @@ def test_level_best_is_chosen_by_exact_distance():
         second[0, 0] = np.nextafter(first[0, 0].real, 2.0) + 1j * first[0, 0].imag
         target = random_unitary(2, rng)
         assert_same_search(target, GateSet((Operator(first), Operator(second))), 1)
+
+
+@pytest.mark.parametrize("gates", [(H, S, T), (X, H), (rotation_z(0.4), rotation_x(1.3))])
+@pytest.mark.parametrize("target", [X, H, T, rotation_y(0.7)])
+def test_matches_linear_scan_at_length_1(gates, target):
+    assert_same_search(target, GateSet(gates), 1)
+
+
+def test_matches_linear_scan_with_one_screened_candidate():
+    """A target equal to one gate and far from the other leaves one product
+    within the margin of the level's best: its overlap is taken from two rows."""
+    g = GateSet((rotation_z(0.4), rotation_x(1.3)))
+    assert_same_search(g.gates[1], g, 1)
+    assert best_approximation(g.gates[1], g, 1).symbols == (1,)
+    assert_same_search(g.gates[1], g, 6)
+
+
+@pytest.mark.parametrize("radius", [1e-3, 0.5])
+@pytest.mark.parametrize("phases", [(0.3,), (0.3, 1.1), (0.0, 2.0, 4.0)])
+def test_matches_linear_scan_on_1x1_gates(phases, radius):
+    """Every 1×1 product is the identity up to phase, so the root covers the
+    whole first level and the search ends with an empty frontier."""
+    g = GateSet(tuple(Operator(np.array([[np.exp(1j * p)]])) for p in phases))
+    for target in (Operator(np.array([[1.0 + 0j]])), Operator(np.array([[np.exp(2.5j)]]))):
+        assert_same_search(target, g, 4, net_radius=radius)
+
+
+def first_length_that_improves(target, g, lengths):
+    """The first length at which the best product has exactly that length."""
+    for length in lengths:
+        result = best_approximation(target, g, length)
+        if len(result.symbols) == length:
+            return length, result.achieved_distance
+    raise AssertionError("no length improved")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_matches_linear_scan_with_epsilon_met_exactly_at_an_intermediate_level(seed):
+    g = default_gate_set()
+    target = random_unitary(2, np.random.default_rng(seed))
+    length, distance = first_length_that_improves(target, g, range(3, 9))
+    assert_same_search(target, g, 10, epsilon=distance)
+    result = best_approximation(target, g, 10, epsilon=distance)
+    assert (len(result.symbols), result.achieved_distance) == (length, distance)
+
+
+@pytest.fixture
+def admitted(monkeypatch):
+    """Sizes of the batches ``_VisitedNet.admit`` is given and keeps, in call order."""
+    calls = []
+    admit = _VisitedNet.admit
+
+    def spy(self, flats):
+        kept = admit(self, flats)
+        calls.append((len(flats), len(kept)))
+        return kept
+
+    monkeypatch.setattr(_VisitedNet, "admit", spy)
+    return calls
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 7])
+def test_only_levels_that_are_expanded_are_admitted(admitted, max_len):
+    """The root and each level but the last are admitted: max_len calls. The
+    final level is evaluated, which counts its products, but never admitted."""
+    g = default_gate_set()
+    result = best_approximation(H, g, max_len)
+    assert len(admitted) == max_len
+    assert admitted[0] == (1, 1)
+    for (_, kept), (given_next, _) in zip(admitted, admitted[1:]):
+        assert given_next == kept * g.n
+    final_level = admitted[-1][1] * g.n
+    assert result.expansions == sum(size for size, _ in admitted) + final_level
+
+
+def test_a_level_that_meets_epsilon_is_not_admitted(admitted):
+    g = default_gate_set()
+    target = random_unitary(2, np.random.default_rng(0))
+    length, distance = first_length_that_improves(target, g, range(3, 9))
+    admitted.clear()
+    best_approximation(target, g, 10, epsilon=distance)
+    # The root and the levels of length 1, ..., length − 1.
+    assert len(admitted) == length
 
 
 PINNED_AT_LENGTH_14 = {

@@ -43,7 +43,7 @@ from qreplica.linalg import (
     random_state,
     random_unitary,
 )
-from qreplica.tape import Tape, format_tape, tape_to_state
+from qreplica.tape import Tape, format_tape, run_tape, tape_to_state
 
 
 def diagonal_gate_set():
@@ -293,6 +293,17 @@ def test_replication_preserves_heredity(registry_and_head, generation):
     assert child.registry.segments == parent.registry.segments
     assert child.generation == parent.generation + 1
     assert child.payload.amps.tobytes() == parent.payload.amps.tobytes()
+
+
+@given(registries_and_heads(), st.integers(0, 2**32 - 1))
+def test_scattering_a_program_state_runs_its_segment(registry_and_head, seed):
+    registry, _ = registry_and_head
+    g = registry.gate_set
+    psi = random_state(g.dim, np.random.default_rng(seed))
+    for name, segment in registry.segments:
+        out = scattering_apply(program_state(registry, name), psi, registry)
+        expected = run_tape(Tape(g.n, segment), g.gates, psi) if segment else psi
+        assert out.amps.tobytes() == expected.amps.tobytes()
 
 
 class TestOverlap:

@@ -10,6 +10,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qreplica.tape
 from qreplica import config
@@ -130,6 +132,23 @@ class TestTapeState:
         for cells in itertools.product(range(3), repeat=3):
             seen.add(tape_index(Tape(3, cells)))
         assert len(seen) == 27
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+        )
+    )
+    def test_index_and_cells_are_a_bijection(self, n_and_cells):
+        """Decoding the index in base n gives back the cells, so the n^L tapes
+        of length L map one-to-one onto the basis indices [0, n^L)."""
+        n, cells = n_and_cells
+        t = Tape(n, tuple(cells))
+        index = tape_index(t)
+        assert 0 <= index < n ** len(cells)
+        assert tuple(index // n**k % n for k in reversed(range(len(cells)))) == t.cells
+        state = tape_to_state(t)
+        assert np.flatnonzero(state.amps).tolist() == [index]
+        assert state.amps[index] == 1.0
 
     def test_capacity_error(self, monkeypatch):
         monkeypatch.setenv(config.ENV_MAX_DIM, "8")
