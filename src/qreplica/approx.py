@@ -33,7 +33,7 @@ import numpy as np
 
 from . import config
 from .errors import ContractError, InputError
-from .linalg import Operator, _integer, apply_sequence, operator_from_json, operator_to_json
+from .linalg import Operator, _check_unitary_family, _integer, apply_sequence, operator_from_json, operator_to_json
 from .tape import Tape, format_tape
 
 
@@ -48,12 +48,7 @@ class GateSet:
         gates = tuple(self.gates)
         if not gates:
             raise ContractError("a gate set needs at least one gate")
-        dim = gates[0].dim
-        for l, gate in enumerate(gates):
-            if gate.dim != dim:
-                raise ContractError(f"gate {l} has dim {gate.dim}, expected {dim}")
-            if not gate.is_unitary:
-                raise ContractError(f"gate {l} is not unitary (residual {gate.unitary_residual:.3e})")
+        _check_unitary_family(gates, "gate", gates[0].dim)
         labels = tuple(self.labels) or tuple(f"g{l}" for l in range(len(gates)))
         if len(labels) != len(gates):
             raise ContractError(f"got {len(labels)} labels for {len(gates)} gates")

@@ -340,15 +340,14 @@ def automaton_to_json(a: Automaton) -> dict:
 def automaton_from_json(obj) -> Automaton:
     if not isinstance(obj, dict) or "tape" not in obj or "registry" not in obj:
         raise InputError("automaton: expected a JSON object with 'tape' and 'registry'")
-    generation = obj.get("generation", 0)
-    if not isinstance(generation, int) or isinstance(generation, bool) or generation < 0:
-        raise InputError(f"automaton.generation: expected a non-negative integer, got {generation!r}")
     registry = registry_from_json(obj["registry"])
     t = parse_tape(obj["tape"]) if isinstance(obj["tape"], str) else None
     if t is None:
         raise InputError("automaton.tape: expected a tape text string")
     try:
         payload = translate(t, registry)
-        return Automaton(t, payload, registry, generation)
+        if registry_from_tape(t, registry).segments != registry.segments:
+            raise InputError("automaton: registry segments differ from the ones its tape encodes")
+        return Automaton(t, payload, registry, obj.get("generation", 0))
     except (ContractError, UndecodableProgramError) as exc:
         raise InputError(f"automaton: {exc}") from exc

@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, InputError
-from .linalg import Operator, StateVector, _check_capacity, _integer, _operator_with_residual
-from .linalg import operator_from_json, operator_to_json
+from .linalg import Operator, StateVector, _check_capacity, _check_unitary_family, _integer, _operator_with_residual
+from .linalg import apply, basis_state, fidelity, operator_from_json, operator_to_json, tensor_state
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,16 +37,7 @@ class ControlledOperator:
         blocks = tuple(self.blocks)
         if not blocks:
             raise ContractError("a controlled operator needs at least one block")
-        dim = blocks[0].dim
-        for l, block in enumerate(blocks):
-            if block.dim != dim:
-                raise ContractError(
-                    f"block {l} has dim {block.dim}, expected {dim} (all blocks must match)"
-                )
-            if not block.is_unitary:
-                raise ContractError(
-                    f"block {l} is not unitary (residual {block.unitary_residual:.3e})"
-                )
+        _check_unitary_family(blocks, "block", blocks[0].dim)
         stack = np.stack([block.entries for block in blocks])
         stack.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
@@ -122,6 +113,18 @@ def apply_controlled(c: ControlledOperator, joint: StateVector) -> StateVector:
     return StateVector(out.reshape(-1))
 
 
+def copy_onto_blank(psi: StateVector) -> tuple[StateVector, float]:
+    """Run the basis cloner on psi ⊗ |0⟩: the output and its fidelity to psi ⊗ psi.
+
+    The fidelity is 1 on basis states and falls short on superposed ones. The
+    joint input is built first, so a register too large for the amplitude
+    budget is refused before the cloner is.
+    """
+    joint = tensor_state(psi, basis_state(psi.dim, 0))
+    out = apply_controlled(cloner(psi.dim), joint)
+    return out, fidelity(out, tensor_state(psi, psi))
+
+
 def densify(c: ControlledOperator) -> Operator:
     """Materialize Σ_l |l⟩⟨l| ⊗ blocks[l] as a dense matrix (cross-check oracle).
 
@@ -134,6 +137,13 @@ def densify(c: ControlledOperator) -> Operator:
     for l, block in enumerate(c.blocks):
         matrix[l * m : (l + 1) * m, l * m : (l + 1) * m] = block.entries
     return _operator_with_residual(matrix, max(block.unitary_residual for block in c.blocks))
+
+
+def dense_deviation(c: ControlledOperator, joint: StateVector, structured: StateVector) -> float:
+    """Largest entry of |densify(c)·joint − structured|, where ``structured`` is
+    ``apply_controlled(c, joint)``: the block form checked against the dense oracle."""
+    dense = apply(densify(c), joint)
+    return float(np.max(np.abs(dense.amps - structured.amps)))
 
 
 def controlled_to_json(c: ControlledOperator) -> dict:

@@ -1,17 +1,19 @@
 """Command-line surface: demos and verification runs as reproducible JSON reports.
 
 Every report embeds the tolerance values in force. Exit codes: 0 success,
-1 failed verification, 2 contract/input errors, 3 integrity errors.
+1 failed verification, 2 contract/input errors, 3 integrity errors, and 141
+when stdout was closed before the report was written out (128 + SIGPIPE, the
+status a shell gives a writer that SIGPIPE ends); nothing is printed then.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import config, verify
 from .approx import (
@@ -21,26 +23,12 @@ from .approx import (
     gate_set_from_json,
 )
 from .automaton import automaton_from_json, automaton_overlap, replicate, translate, Automaton
-from .basis_ops import apply_controlled, cloner, conditional_dynamics, densify
+from .basis_ops import apply_controlled, controlled_from_json, copy_onto_blank, dense_deviation
 from .errors import ContractError, InputError, QReplicaError
-from .linalg import (
-    apply,
-    basis_state,
-    fidelity,
-    operator_from_json,
-    state_from_json,
-    state_to_json,
-    tensor_state,
-)
-from .tape import (
-    Tape,
-    format_tape,
-    joint_tape_evolution,
-    parse_tape,
-    run_tape,
-    tape_from_json,
-    tape_index,
-)
+from .linalg import basis_state, fidelity, operator_from_json, state_from_json, state_to_json, tensor_state
+from .tape import Tape, format_tape, joint_check, parse_tape, run_tape, tape_from_json
+
+CLOSED_STDOUT_EXIT = 141
 
 _OVER_JOINT_LIMIT = f"joint space exceeds 2^{config.JOINT_CHECK_LIMIT.bit_length() - 1} amplitudes"
 
@@ -50,9 +38,12 @@ def _parse_override(text: str) -> tuple[str, float]:
     if not sep:
         raise InputError(f"tolerance override {text!r} must have the form NAME=VALUE")
     try:
-        return name, float(value)
+        number = float(value)
     except ValueError:
         raise InputError(f"tolerance override {text!r} has a non-numeric value") from None
+    if not math.isfinite(number) or number < 0.0:
+        raise InputError(f"tolerance override {text!r} must be a finite, non-negative number")
+    return name, number
 
 
 def _load_json(text: str, what: str):
@@ -63,7 +54,7 @@ def _load_json(text: str, what: str):
         raise InputError(f"{what}: file {text!r} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except IsADirectoryError as exc:
         raise InputError(f"{what}: {text!r} is a directory, not a JSON file") from exc
-    except OSError:
+    except (OSError, ValueError):  # ValueError: no path holds a NUL byte
         source = text
     try:
         return json.loads(source)
@@ -79,7 +70,10 @@ def _emit(text: str, output: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(output).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        try:
+            Path(output).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write report to {output!r}: {exc.strerror or exc}") from exc
 
 
 def _emit_report(report: dict, output: str | None) -> None:
@@ -114,10 +108,7 @@ def cmd_clone_demo(args) -> int:
         input_kind = "amplitudes"
         if psi.dim != args.n:
             raise ContractError(f"input state dim {psi.dim} does not match --n {args.n}")
-    joint_in = tensor_state(psi, basis_state(args.n, 0))
-    out = apply_controlled(cloner(args.n), joint_in)
-    ideal = tensor_state(psi, psi)
-    achieved = fidelity(out, ideal)
+    out, achieved = copy_onto_blank(psi)
     report = _base_report("clone-demo", args)
     report.update(
         {
@@ -135,12 +126,7 @@ def cmd_clone_demo(args) -> int:
 
 def cmd_cond_dyn(args) -> int:
     obj = _load_json(args.blocks, "blocks")
-    if isinstance(obj, dict) and "blocks" in obj:
-        obj = obj["blocks"]
-    if not isinstance(obj, list) or not obj:
-        raise InputError("blocks: expected a non-empty JSON list of operators")
-    blocks = tuple(operator_from_json(b) for b in obj)
-    cd = conditional_dynamics(blocks)
+    cd = controlled_from_json({"blocks": obj} if isinstance(obj, list) else obj)
     if args.input is not None:
         joint_in = state_from_json(_load_json(args.input, "input state"))
     else:
@@ -163,9 +149,7 @@ def cmd_cond_dyn(args) -> int:
         }
     )
     if cd.joint_dim <= config.JOINT_CHECK_LIMIT:
-        dense_out = apply(densify(cd), joint_in)
-        deviation = float(np.max(np.abs(dense_out.amps - out.amps)))
-        report["dense_check"] = {"performed": True, "max_deviation": deviation}
+        report["dense_check"] = {"performed": True, "max_deviation": dense_deviation(cd, joint_in, out)}
     else:
         report["dense_check"] = {
             "performed": False,
@@ -193,11 +177,7 @@ def cmd_tape_run(args) -> int:
     )
     joint_dim = t.alphabet_size**t.length * payload.dim
     if joint_dim <= config.JOINT_CHECK_LIMIT:
-        joint = joint_tape_evolution(t, gates.gates, payload)
-        rows = joint.amps.reshape(t.alphabet_size**t.length, payload.dim)
-        others = np.delete(rows, tape_index(t), axis=0)
-        leak = float(np.max(np.abs(others))) if others.size else 0.0
-        deviation = float(np.max(np.abs(rows[tape_index(t)] - final.amps)))
+        leak, deviation = joint_check(t, gates.gates, payload, final)
         report["joint_check"] = {
             "performed": True,
             "tape_restored_exactly": leak == 0.0,
@@ -363,10 +343,17 @@ def main(argv=None) -> int:
     try:
         overrides = [_parse_override(t) for t in args.set_tolerance or []]
         with config.overridden(overrides):
-            return args.handler(args)
+            code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except QReplicaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # The reader closed stdout. Point stdout at devnull so that the
+        # interpreter's final flush of what is still buffered cannot raise too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT_EXIT
 
 
 if __name__ == "__main__":

@@ -112,6 +112,7 @@ def basis_state(dim: int, index: int) -> StateVector:
         raise ContractError(f"dimension must be positive, got {dim}")
     if not 0 <= index < dim:
         raise ContractError(f"basis index {index} out of range for dimension {dim}")
+    _check_capacity(dim, "basis state")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return StateVector(amps)
@@ -127,6 +128,16 @@ def _check_capacity(dim: int, what: str) -> None:
     limit = config.max_dim()
     if dim > limit:
         raise CapacityError(f"{what} needs {dim} amplitudes, exceeding MAX_DIM={limit}")
+
+
+def _check_unitary_family(ops, what: str, dim: int) -> None:
+    """Every operator in ``ops`` has dimension ``dim`` and is unitary; else a
+    ContractError naming the first ``what`` (gate, block) that is not."""
+    for l, op in enumerate(ops):
+        if op.dim != dim:
+            raise ContractError(f"{what} {l} has dim {op.dim}, expected {dim}")
+        if not op.is_unitary:
+            raise ContractError(f"{what} {l} is not unitary (residual {op.unitary_residual:.3e})")
 
 
 def tensor_state(a: StateVector, b: StateVector) -> StateVector:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .basis_ops import apply_controlled, cloner
+from .basis_ops import copy_onto_blank
 from .errors import ContractError, InputError, ReplicationIntegrityError
-from .linalg import StateVector, _check_capacity, _integer, apply_sequence, basis_state, fidelity, tensor_state
+from .linalg import StateVector, _check_capacity, _check_unitary_family, _integer, apply_sequence, basis_state
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,7 @@ def _check_gates(t: Tape, gates, payload_dim: int) -> None:
         raise ContractError(
             f"need one gate per symbol: got {len(gates)} gates for alphabet {t.alphabet_size}"
         )
-    for l, gate in enumerate(gates):
-        if gate.dim != payload_dim:
-            raise ContractError(f"gate {l} has dim {gate.dim}, payload has dim {payload_dim}")
-        if not gate.is_unitary:
-            raise ContractError(f"gate {l} is not unitary (residual {gate.unitary_residual:.3e})")
+    _check_unitary_family(gates, "gate", payload_dim)
 
 
 def run_tape(t: Tape, gates, payload: StateVector) -> StateVector:
@@ -126,6 +122,21 @@ def joint_tape_evolution(t: Tape, gates, payload: StateVector) -> StateVector:
     return StateVector(joint)
 
 
+def joint_check(t: Tape, gates, payload: StateVector, expected: StateVector) -> tuple[float, float]:
+    """Check the joint evolution against ``expected``, the product-form result.
+
+    Returns (leak, deviation): the largest amplitude left on any tape state
+    other than t's own, and the largest entry of |payload rows under t's
+    state − expected|. The tape theorem says leak is exactly 0.
+    """
+    joint = joint_tape_evolution(t, gates, payload)
+    rows = joint.amps.reshape(t.alphabet_size**t.length, payload.dim)
+    index = tape_index(t)
+    others = np.delete(rows, index, axis=0)
+    leak = float(np.max(np.abs(others))) if others.size else 0.0
+    return leak, float(np.max(np.abs(rows[index] - expected.amps)))
+
+
 def replicate_tape(t: Tape) -> Tape:
     """The child tape: t copied cell by cell onto blank cells, each distinct symbol certified.
 
@@ -138,8 +149,6 @@ def replicate_tape(t: Tape) -> Tape:
     copy fidelity falls below 1 − REPLICATION_TOL.
     """
     n, s = t.alphabet_size, t.length
-    copier = cloner(n)
-    blank = basis_state(n, 0)
     copies: dict[int, int] = {}
     child = [0] * s
     # Cells in the order the head reads them, starting under the head.
@@ -147,9 +156,7 @@ def replicate_tape(t: Tape) -> Tape:
         pos = s - 1 - (t.head + k) % s
         symbol = t.cells[pos]
         if symbol not in copies:
-            out = apply_controlled(copier, tensor_state(basis_state(n, symbol), blank))
-            ideal = tensor_state(basis_state(n, symbol), basis_state(n, symbol))
-            achieved = fidelity(out, ideal)
+            out, achieved = copy_onto_blank(basis_state(n, symbol))
             if achieved < 1.0 - config.REPLICATION_TOL:
                 raise ReplicationIntegrityError(
                     f"cell {pos} copy fidelity {achieved!r} below 1 - REPLICATION_TOL; "
@@ -214,6 +221,7 @@ __all__ = [
     "tape_to_state",
     "run_tape",
     "joint_tape_evolution",
+    "joint_check",
     "replicate_tape",
     "format_tape",
     "parse_tape",

@@ -96,3 +96,9 @@ def test_verify_json_matches_golden_bytes(tmp_path, monkeypatch):
     assert cli.main(["verify", "--seed", "7", "--json", "--output", str(out)]) == 0
     golden = Path(__file__).parent / "data" / "verify_seed7.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_verify_refuses_a_negative_seed(capsys):
+    """numpy's seed sequence takes no negative seed; the run says so in one error line."""
+    assert cli.main(["verify", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"

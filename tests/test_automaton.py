@@ -373,11 +373,19 @@ class TestAutomatonJson:
             {**data, "tape": 7},
             {**data, "generation": -1},
             {**data, "generation": 1.5},
+            {**data, "generation": True},
             {**data, "registry": {**data["registry"], "segments": {"C": [1.9]}}},
             {k: v for k, v in data.items() if k != "registry"},
         ):
             with pytest.raises(InputError):
                 automaton_from_json(broken)
+
+    def test_registry_must_be_the_one_its_tape_encodes(self):
+        """Else replicating it would report corrupted heredity for a bad document."""
+        data = automaton_to_json(demo_automaton(2))
+        data["registry"]["segments"]["D"] = [1]
+        with pytest.raises(InputError, match="segments differ from the ones its tape encodes"):
+            automaton_from_json(data)
 
     def test_identity_alias_unused_gate_set_dim(self):
         """Registry JSON keeps gate dims; a reloaded automaton translates alike."""

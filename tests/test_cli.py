@@ -1,11 +1,16 @@
 """CLI behavior: reports, exit codes, input validation, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qreplica
 import qreplica.cli as cli
 from qreplica import config
 from qreplica.approx import GateSet, default_gate_set, gate_set_to_json
@@ -45,6 +50,18 @@ def run_json_lines(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, [json.loads(line) for line in out.strip().splitlines()]
+
+
+def one_error_line(capsys, argv):
+    """Run argv, which must exit 2 with no report and one ``error:`` line; return that line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert (code, captured.out) == (2, "")
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
 
 
 class TestCloneDemo:
@@ -113,6 +130,12 @@ class TestCloneDemo:
     def test_unknown_tolerance_name(self, capsys):
         assert cli.main(["clone-demo", "--n", "2", "--basis-index", "0", "--set-tolerance", "NOPE=1"]) == 2
 
+    @pytest.mark.parametrize("override", ["NORM_TOL=nan", "UNITARY_TOL=inf", "NO_CLONE_GAP=-1"])
+    def test_tolerance_override_must_be_finite_and_non_negative(self, capsys, override):
+        argv = ["clone-demo", "--n", "2", "--basis-index", "0", "--set-tolerance", override]
+        line = one_error_line(capsys, argv)
+        assert line == f"error: tolerance override {override!r} must be a finite, non-negative number"
+
 
 class TestCondDyn:
     def test_control_selects_block(self, capsys, tmp_path):
@@ -136,6 +159,13 @@ class TestCondDyn:
             "performed": False,
             "note": "joint space exceeds 2^10 amplitudes; block-form result only",
         }
+
+    def test_declared_dimensions_must_match_the_blocks(self, capsys):
+        x = operator_to_json(Operator(np.array([[0, 1], [1, 0]])))
+        i = operator_to_json(Operator(np.eye(2)))
+        blocks = json.dumps({"control_dim": 5, "target_dim": 7, "blocks": [i, x]})
+        line = one_error_line(capsys, ["cond-dyn", "--blocks", blocks, "--control", "1"])
+        assert line == "error: controlled operator: control_dim=5 inconsistent with blocks (2)"
 
 
 class TestTapeRun:
@@ -296,6 +326,29 @@ class TestOutputPlumbing:
         report = json.loads(out.read_text())
         assert report["verdict"] == "cloned"
 
+    def test_unwritable_output_path(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        line = one_error_line(capsys, ["clone-demo", "--n", "2", "--basis-index", "1", "--output", str(out)])
+        assert line == f"error: cannot write report to {str(out)!r}: No such file or directory"
+
+    def test_closed_stdout_exits_without_traceback(self):
+        """A reader that goes away before the report is written ends the run quietly."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(Path(qreplica.__file__).resolve().parents[1])}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qreplica", "clone-demo", "--n", "2", "--basis-index", "1"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr.decode()
+        assert proc.returncode == cli.CLOSED_STDOUT_EXIT != 0
+
     def test_reports_are_byte_stable(self, capsys):
         code1 = cli.main(["clone-demo", "--n", "2", "--basis-index", "1"])
         first = capsys.readouterr().out
@@ -332,25 +385,14 @@ class TestJsonArguments:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
 
-    @staticmethod
-    def _one_error_line(capsys, argv):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = cli.main(argv)
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert (code, captured.out) == (2, "")
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        return lines[0]
-
     def test_non_utf8_file(self, capsys, tmp_path):
         path = tmp_path / "gates.json"
         path.write_bytes(b'{"gates": "\xff"}')
-        line = self._one_error_line(capsys, ["tape-run", "--tape", "n=2;cells=1;head=0", "--gates", str(path)])
+        line = one_error_line(capsys, ["tape-run", "--tape", "n=2;cells=1;head=0", "--gates", str(path)])
         assert "not UTF-8" in line
 
     def test_directory(self, capsys, tmp_path):
-        line = self._one_error_line(capsys, ["tape-run", "--tape", "n=2;cells=1;head=0", "--gates", str(tmp_path)])
+        line = one_error_line(capsys, ["tape-run", "--tape", "n=2;cells=1;head=0", "--gates", str(tmp_path)])
         assert line == f"error: gate set: {str(tmp_path)!r} is a directory, not a JSON file"
 
     @pytest.mark.parametrize(
@@ -368,4 +410,4 @@ class TestJsonArguments:
     )
     def test_malformed_payload(self, capsys, golden_gates_file, payload):
         argv = ["tape-run", "--tape", "n=2;cells=1;head=0", "--gates", golden_gates_file, "--payload", payload]
-        self._one_error_line(capsys, argv)
+        one_error_line(capsys, argv)

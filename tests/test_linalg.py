@@ -213,6 +213,11 @@ class TestTensorOrdering:
         with pytest.raises(CapacityError):
             tensor_state(random_state(5, np.random.default_rng(0)), basis_state(5, 0))
 
+    def test_basis_state_checks_capacity_before_allocating(self, monkeypatch):
+        monkeypatch.setenv(config.ENV_MAX_DIM, "16")
+        with pytest.raises(CapacityError, match="basis state needs 17 amplitudes, exceeding MAX_DIM=16"):
+            basis_state(config.max_dim() + 1, 0)
+
     def test_bad_max_dim_env(self, monkeypatch):
         monkeypatch.setenv(config.ENV_MAX_DIM, "lots")
         with pytest.raises(InputError):

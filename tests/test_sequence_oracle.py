@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-import qreplica.tape as tape_module
+import qreplica.basis_ops as basis_ops_module
 from qreplica.approx import GateSet, product_operator, sequence_unitary
 from qreplica.automaton import ProgramRegistry, scattering_apply, translate
 from qreplica.basis_ops import apply_controlled
@@ -129,7 +129,7 @@ def test_kernel_callers_match_the_step_by_step_forms(seed, n, dim, length, head)
     drift = np.abs(sequence_unitary(t, g).entries - reference_sequence_unitary(t, g))
     assert float(np.max(drift)) <= 1e-13
 
-    with mock.patch.object(tape_module, "apply_controlled", wraps=apply_controlled) as spy:
+    with mock.patch.object(basis_ops_module, "apply_controlled", wraps=apply_controlled) as spy:
         child = replicate_tape(headed)
     certified = [int(np.argmax(np.abs(call.args[1].amps))) // n for call in spy.call_args_list]
     # Each distinct symbol is certified once, at its first cell in head-read order.

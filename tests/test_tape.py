@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import qreplica.tape
+import qreplica.basis_ops
 from qreplica import config
 from qreplica.basis_ops import apply_controlled, conditional_dynamics, shift_power
 from qreplica.errors import CapacityError, ContractError, InputError, ReplicationIntegrityError
@@ -273,7 +273,7 @@ class TestReplicateTape:
     def test_broken_copier_raises(self, monkeypatch):
         """If the wiring stops copying, the per-cell certificate must fail."""
         monkeypatch.setattr(
-            qreplica.tape, "cloner", lambda n: conditional_dynamics([identity(n)] * n)
+            qreplica.basis_ops, "cloner", lambda n: conditional_dynamics([identity(n)] * n)
         )
         with pytest.raises(ReplicationIntegrityError, match="fidelity"):
             replicate_tape(Tape(3, (1, 2)))
@@ -287,21 +287,21 @@ class TestReplicateTape:
 
     def test_broken_symbol_names_its_first_cell_in_head_order(self, monkeypatch):
         """Symbol 2 sits at cells 0, 2 and 5; with head 2 the head reads cell 2 first."""
-        monkeypatch.setattr(qreplica.tape, "cloner", self._broken_on(2))
+        monkeypatch.setattr(qreplica.basis_ops, "cloner", self._broken_on(2))
         message = "cell 2 copy fidelity 0.0 below 1 - REPLICATION_TOL; cloner wiring is broken"
         with pytest.raises(ReplicationIntegrityError) as excinfo:
             replicate_tape(Tape(3, (2, 1, 2, 0, 1, 2), head=2))
         assert str(excinfo.value) == message
 
     def test_tape_without_the_broken_symbol_still_copies(self, monkeypatch):
-        monkeypatch.setattr(qreplica.tape, "cloner", self._broken_on(2))
+        monkeypatch.setattr(qreplica.basis_ops, "cloner", self._broken_on(2))
         parent = Tape(3, (1, 0, 1, 1), head=1)
         assert replicate_tape(parent) == parent
 
     def test_each_distinct_symbol_is_certified_once(self):
         cells = tuple(int(c) for c in np.random.default_rng(5).integers(0, 4, 240))
         parent = Tape(4, cells, head=17)
-        with mock.patch.object(qreplica.tape, "apply_controlled", wraps=apply_controlled) as spy:
+        with mock.patch.object(qreplica.basis_ops, "apply_controlled", wraps=apply_controlled) as spy:
             child = replicate_tape(parent)
         assert child == parent
         assert spy.call_count <= 4
