@@ -14,11 +14,14 @@ one stacked matrix product, and admitted to the net only if another level
 grows from it. The net is indexed by a grid on three phase-invariant
 coordinates of each product. A merge moves each coordinate by at most half a
 cell side, so a product's merge partners lie within 2 cells per axis of it
-(see ``_VisitedNet``). The grid only proposes merge candidates, and every
-merge is confirmed with the exact test |tr(A†B)| >= d(1 − r²). Overlaps within
-1e-12 of that threshold are recomputed as a matrix-vector product of the net
-with the new product before they decide, so indexing changes which pairs are
-compared, never which products merge or what the search returns.
+(see ``_VisitedNet``). A level joins the index before it is probed, so one
+probe per product finds its partners among the kept products and among the
+earlier products of its own level. The grid only proposes merge candidates,
+and every merge is confirmed with the exact test |tr(A†B)| >= d(1 − r²).
+Overlaps within 1e-12 of that threshold are recomputed as a matrix-vector
+product of the net with the new product before they decide, so indexing
+changes which pairs are compared, never which products merge or what the
+search returns.
 
 Ties between equally good sequences are broken toward shorter length, then
 lexicographically smaller symbols (in application order), so every search is
@@ -166,6 +169,12 @@ class _VisitedNet:
     consecutive keys. Each coordinate lies in an interval of length 1, so no
     partner is more than 1 away: a side of 2 already covers every radius, and
     the side is capped at 4, where the grid is a single cell.
+
+    Kept products' rows sit in one buffer, in the order they were kept, and
+    the index holds their cell keys, sorted, each with its row. ``admit``
+    stages a level's rows behind them and merges the level's keys into the
+    index, probes each product's 4 runs once, then removes the products it
+    did not keep, so the net again holds exactly its kept products.
     """
 
     def __init__(self, dim: int, radius: float):
@@ -210,54 +219,57 @@ class _VisitedNet:
         Products are taken in order, so of two that cover each other only the
         first is kept, exactly as if they were added one at a time.
         """
+        start, end = self._count, self._count + len(flats)
         cells, bases = self._keys(flats)
-        # Sorted once per level; a subset's order is the sorted one restricted.
-        by_cell, by_base = np.argsort(cells), np.argsort(bases)
-        covered = np.zeros(len(flats), dtype=bool)
-        covering, _ = self._merges(flats, bases, by_base, self._buf, self._sorted, self._order)
-        covered[covering] = True
-        fresh = np.flatnonzero(~covered)
-        fresh_flats, fresh_cells = flats[fresh], cells[fresh]
-        by_cell, by_base = _restrict(by_cell, ~covered), _restrict(by_base, ~covered)
-        later, earlier = self._merges(
-            fresh_flats, bases[fresh], by_base, fresh_flats, fresh_cells[by_cell], by_cell, earlier_only=True
-        )
-        kept = np.ones(len(fresh), dtype=bool)
+        if end > len(self._buf):
+            grown = np.empty((max(end, 2 * len(self._buf)), self._buf.shape[1]), dtype=complex)
+            grown[:start] = self._buf[:start]
+            self._buf = grown
+        self._buf[start:end] = flats
+        # One merge: the level's keys go before equal stored keys, as
+        # searchsorted places them, and the stored keys fill the other slots.
+        by_cell = np.argsort(cells)
+        at = np.searchsorted(self._sorted, cells[by_cell]) + np.arange(len(flats))
+        stored = np.ones(len(self._sorted) + len(flats), dtype=bool)
+        stored[at] = False
+        merged, order = np.empty(len(stored), dtype=np.int64), np.empty(len(stored), dtype=np.intp)
+        merged[at], merged[stored] = cells[by_cell], self._sorted
+        order[at], order[stored] = by_cell + start, self._order
+        self._sorted, self._order = merged, order
+
+        q, e = self._merges(flats.conj(), bases, start)
+        within = e >= start
+        kept = np.ones(len(flats), dtype=bool)
+        kept[q[~within]] = False
+        # Pairs within the level, resolved in the order of the later product.
+        later, earlier = q[within], e[within] - start
         by_later = np.lexsort((earlier, later))
         for j, k in zip(later[by_later].tolist(), earlier[by_later].tolist()):
             if kept[k]:
                 kept[j] = False
-        self._add(fresh_flats[kept], fresh_cells[kept], _restrict(by_cell, kept))
-        return fresh[kept]
+        fresh = np.flatnonzero(kept)
+        if len(fresh) < len(flats):
+            self._buf[start : start + len(fresh)] = flats[fresh]
+            self._order[at] = (np.cumsum(kept) - 1 + start)[by_cell]
+            gone = at[~kept[by_cell]]
+            self._sorted, self._order = np.delete(self._sorted, gone), np.delete(self._order, gone)
+        self._count = start + len(fresh)
+        return fresh
 
-    def _add(self, flats: np.ndarray, cells: np.ndarray, order: np.ndarray) -> None:
-        """Append products and merge their keys, ``cells[order]``, into the index."""
-        end = self._count + len(flats)
-        if end > len(self._buf):
-            grown = np.empty((max(end, 2 * len(self._buf)), self._buf.shape[1]), dtype=complex)
-            grown[: self._count] = self._buf[: self._count]
-            self._buf = grown
-        self._buf[self._count : end] = flats
-        new_sorted = cells[order]
-        at = np.searchsorted(self._sorted, new_sorted)
-        self._sorted = np.insert(self._sorted, at, new_sorted)
-        self._order = np.insert(self._order, at, order + self._count)
-        self._count = end
+    def _merges(self, conj: np.ndarray, bases: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs (product q of the level, indexed product e) that merge.
 
-    def _merges(self, queries, bases, by_base, store, sorted_keys, order, *, earlier_only=False):
-        """Pairs (query q, stored e) with |tr(store[e]†queries[q])| >= threshold.
-
-        ``bases`` are the queries' probe base keys and ``by_base`` sorts them;
-        ``sorted_keys``/``order`` index the stored products by cell key. With
-        ``earlier_only`` the store is the query set and only e < q is paired.
+        The level's rows are ``start`` on in the buffer and ``conj`` is their
+        conjugate; e is a stored product (e < start) or one earlier in the
+        level (e − start < q), and |tr(buf[e]†·flats[q])| >= threshold.
 
         An overlap near the threshold is recomputed the way one matrix-vector
         product of the whole net with the query computes it, so a decision at
         the threshold is the one an unindexed scan of the net makes.
         """
-        if not len(sorted_keys):
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        sorted_keys, order, store = self._sorted, self._order, self._buf
         # Queries are visited in base key order, so each run's needles are sorted.
+        by_base = np.argsort(bases)
         runs = (self._runs[:, None] + bases[by_base]).ravel()
         lo = np.searchsorted(sorted_keys, runs)
         # Most runs are empty: look for a run's end only if its first key is in it.
@@ -269,36 +281,32 @@ class _VisitedNet:
         slot_queries = by_base[slots % len(bases)]
         totals = np.cumsum(counts)
         found_q, found_e = [], []
-        start = 0
-        while start < len(slots):
-            done = totals[start - 1] if start else 0
+        begin = 0
+        while begin < len(slots):
+            done = totals[begin - 1] if begin else 0
             stop = int(np.searchsorted(totals, done + _PAIR_BLOCK, "right"))
-            stop = max(stop, start + 1)
-            block = counts[start:stop]
-            slot = np.repeat(np.arange(stop - start), block)
+            stop = max(stop, begin + 1)
+            block = counts[begin:stop]
+            slot = np.repeat(np.arange(stop - begin), block)
             skip = np.arange(int(totals[stop - 1] - done)) - (np.cumsum(block) - block)[slot]
-            e = order[lo[start:stop][slot] + skip]
-            q = slot_queries[start:stop][slot]
-            if earlier_only:
-                q, e = q[e < q], e[e < q]
-            conj = queries[q].conj()
-            overlaps = np.abs(np.einsum("ij,ij->i", store[e], conj))
+            e = order[lo[begin:stop][slot] + skip]
+            q = slot_queries[begin:stop][slot]
+            # Stored products, and products earlier in the level.
+            earlier = e < start + q
+            q, e = q[earlier], e[earlier]
+            query = conj[q]
+            overlaps = np.abs(np.einsum("ij,ij->i", store[e], query))
             # Two rows, because numpy hands a one-row product to a dot
             # kernel that rounds differently.
             for i in np.flatnonzero(np.abs(overlaps - self._threshold) <= _EXACT_MARGIN):
-                overlaps[i] = np.abs(store[[e[i], e[i]]] @ conj[i])[0]
+                overlaps[i] = np.abs(store[[e[i], e[i]]] @ query[i])[0]
             hit = overlaps >= self._threshold
             found_q.append(q[hit])
             found_e.append(e[hit])
-            start = stop
+            begin = stop
         if not found_q:
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
         return np.concatenate(found_q), np.concatenate(found_e)
-
-
-def _restrict(perm: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The masked elements' indices among themselves, in ``perm``'s order."""
-    return (np.cumsum(mask) - 1)[perm[mask[perm]]]
 
 
 def _require_positive_finite(name: str, value: float) -> None:

@@ -117,10 +117,12 @@ def copy_onto_blank(psi: StateVector) -> tuple[StateVector, float]:
     """Run the basis cloner on psi ⊗ |0⟩: the output and its fidelity to psi ⊗ psi.
 
     The fidelity is 1 on basis states and falls short on superposed ones. The
-    joint input is built first, so a register too large for the amplitude
-    budget is refused before the cloner is.
+    joint input is built first, then the cloner's 2·n³ amplitudes are checked
+    against the amplitude budget, so an oversized register is refused before
+    any cloner is built.
     """
     joint = tensor_state(psi, basis_state(psi.dim, 0))
+    _check_capacity(2 * psi.dim**3, "basis cloner")
     out = apply_controlled(cloner(psi.dim), joint)
     return out, fidelity(out, tensor_state(psi, psi))
 

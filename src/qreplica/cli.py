@@ -9,6 +9,7 @@ status a shell gives a writer that SIGPIPE ends); nothing is printed then.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -49,7 +50,8 @@ def _parse_override(text: str) -> tuple[str, float]:
 def _load_json(text: str, what: str):
     """Parse the file ``text`` names, or else ``text`` itself; errors carry line/position."""
     try:
-        source = Path(text).read_text(encoding="utf-8")
+        # Path("") names the current directory: empty or blank text is inline JSON.
+        source = Path(text).read_text(encoding="utf-8") if text.strip() else text
     except UnicodeDecodeError as exc:
         raise InputError(f"{what}: file {text!r} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except IsADirectoryError as exc:
@@ -278,7 +280,9 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; it names each subcommand, not its handler."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=7, help="random seed for sampled checks")
     common.add_argument("--output", default=None, help="write the report here instead of stdout")
@@ -300,21 +304,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="basis size of the register being copied")
     p.add_argument("--basis-index", type=int, default=None, help="copy this basis state")
     p.add_argument("--state", default=None, help="state JSON (inline or path) to feed the copier")
-    p.set_defaults(handler=cmd_clone_demo)
 
     p = sub.add_parser("cond-dyn", parents=[common], help="apply control-selected unitary blocks")
     p.add_argument("--blocks", required=True, help="JSON list of operators (inline or path)")
     p.add_argument("--input", default=None, help="joint input state JSON (inline or path)")
     p.add_argument("--control", type=int, default=None, help="control basis index")
     p.add_argument("--target-state", default=None, help="target register state JSON (default: blank)")
-    p.set_defaults(handler=cmd_cond_dyn)
 
     p = sub.add_parser("tape-run", parents=[common], help="run a symbol tape's gate sequence on a payload")
     p.add_argument("--tape", required=True, help="tape text 'n=..;cells=..;head=..' or JSON")
     p.add_argument("--gates", required=True, help="gate set JSON (inline or path)")
     p.add_argument("--payload", default=None, help="payload state JSON (default: blank basis state)")
     p.add_argument("--payload-index", type=int, default=0, help="payload basis index if no --payload")
-    p.set_defaults(handler=cmd_tape_run)
 
     p = sub.add_parser("approx", parents=[common], help="search gate products approximating a target")
     p.add_argument("--target", required=True, help="target operator JSON (inline or path)")
@@ -322,28 +323,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True, help="acceptable distance to the target")
     p.add_argument("--max-len", type=int, required=True, help="longest sequence to consider")
     p.add_argument("--net-radius", type=float, default=None, help="merge radius for visited products")
-    p.set_defaults(handler=cmd_approx)
 
     p = sub.add_parser("replicate", parents=[common], help="run replication cycles, reporting each generation")
     p.add_argument("--automaton", required=True, help="automaton JSON (inline or path)")
     p.add_argument("--generations", type=int, required=True, help="number of replication cycles")
     p.add_argument("--report", default=None, help="write the JSON-lines report here")
-    p.set_defaults(handler=cmd_replicate)
 
     p = sub.add_parser("verify", parents=[common], help="run the full property suite and print a table")
     p.add_argument("--json", action="store_true", help="emit JSON lines instead of the table")
-    p.set_defaults(handler=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # Looked up per call, so a handler rebound on this module takes effect.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         overrides = [_parse_override(t) for t in args.set_tolerance or []]
         with config.overridden(overrides):
-            code = args.handler(args)
+            code = handler(args)
         sys.stdout.flush()
         return code
     except QReplicaError as exc:

@@ -32,19 +32,7 @@ class StateVector:
 
     def __post_init__(self) -> None:
         arr = np.array(self.amps, dtype=complex)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ContractError("state amplitudes must form a non-empty 1-d sequence")
-        # np.linalg.norm's own sum for a complex vector, so norm has its bits.
-        re, im = arr.real, arr.imag
-        with np.errstate(over="ignore", invalid="ignore"):
-            sqnorm = re.dot(re) + im.dot(im)
-        # A sum of non-negative terms is finite only if every term is, so only an
-        # infinite sum needs a scan; if all amplitudes are finite, the norm overflowed.
-        if not math.isfinite(sqnorm) and not np.all(np.isfinite(arr)):
-            raise ContractError("state amplitudes must be finite")
-        norm = float(np.sqrt(sqnorm))
-        if abs(norm - 1.0) > config.NORM_TOL:
-            raise ContractError(f"state norm {norm!r} deviates from 1 beyond NORM_TOL")
+        _check_amplitudes(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
 
@@ -94,6 +82,33 @@ class Operator:
     @property
     def is_unitary(self) -> bool:
         return self.unitary_residual <= config.UNITARY_TOL
+
+
+def _check_amplitudes(arr: np.ndarray) -> None:
+    """Raise ContractError unless ``arr`` holds a state's amplitudes: 1-d,
+    non-empty, finite and of unit norm."""
+    if arr.ndim != 1 or arr.size < 1:
+        raise ContractError("state amplitudes must form a non-empty 1-d sequence")
+    # np.linalg.norm's own sum for a complex vector, so norm has its bits.
+    re, im = arr.real, arr.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        sqnorm = re.dot(re) + im.dot(im)
+    # A sum of non-negative terms is finite only if every term is, so only an
+    # infinite sum needs a scan; if all amplitudes are finite, the norm overflowed.
+    if not math.isfinite(sqnorm) and not np.all(np.isfinite(arr)):
+        raise ContractError("state amplitudes must be finite")
+    norm = float(np.sqrt(sqnorm))
+    if abs(norm - 1.0) > config.NORM_TOL:
+        raise ContractError(f"state norm {norm!r} deviates from 1 beyond NORM_TOL")
+
+
+def _state_with_amps(amps: np.ndarray) -> StateVector:
+    """State from a complex array the caller owns (checked and frozen, not copied)."""
+    _check_amplitudes(amps)
+    amps.setflags(write=False)
+    state = object.__new__(StateVector)
+    object.__setattr__(state, "amps", amps)
+    return state
 
 
 def _operator_with_residual(entries: np.ndarray, residual: float) -> Operator:

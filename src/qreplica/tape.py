@@ -20,7 +20,8 @@ import numpy as np
 from . import config
 from .basis_ops import copy_onto_blank
 from .errors import ContractError, InputError, ReplicationIntegrityError
-from .linalg import StateVector, _check_capacity, _check_unitary_family, _integer, apply_sequence, basis_state
+from .linalg import StateVector, _check_capacity, _check_unitary_family, _integer, _state_with_amps
+from .linalg import apply_sequence, basis_state
 
 
 @dataclass(frozen=True)
@@ -112,14 +113,16 @@ def joint_tape_evolution(t: Tape, gates, payload: StateVector) -> StateVector:
     _check_capacity(n**s * m, "joint space")
     stack = np.stack([gate.entries for gate in gates])
     joint = np.kron(tape_to_state(t).amps, payload.amps)
+    # Each step writes into the other of two buffers.
+    spare = np.empty_like(joint)
     for _ in range(s):
         slices = joint.reshape(n ** (s - 1), n, m)
-        rotated = np.empty((n, n ** (s - 1), m), dtype=complex)
+        rotated = spare.reshape(n, n ** (s - 1), m)
         # einsum, not matmul: BLAS and numpy's complex multiply use FMA and change the bits.
         for l in range(n):
             np.einsum("ij,rj->ri", stack[l], slices[:, l, :], out=rotated[l])
-        joint = rotated.reshape(-1)
-    return StateVector(joint)
+        joint, spare = spare, joint
+    return _state_with_amps(joint)
 
 
 def joint_check(t: Tape, gates, payload: StateVector, expected: StateVector) -> tuple[float, float]:

@@ -12,7 +12,7 @@ import pytest
 
 import qreplica
 import qreplica.cli as cli
-from qreplica import config
+from qreplica import basis_ops, config
 from qreplica.approx import GateSet, default_gate_set, gate_set_to_json
 from qreplica.automaton import automaton_to_json, demo_automaton
 from qreplica.errors import ReplicationIntegrityError
@@ -93,6 +93,16 @@ class TestCloneDemo:
         assert code == 2
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
+
+    def test_register_whose_cloner_exceeds_the_budget_is_refused_before_it_is_built(self, capsys, monkeypatch):
+        """n² amplitudes fit MAX_DIM, but the cloner's 2·n³ do not."""
+
+        def unbuilt(n):
+            raise AssertionError(f"cloner({n}) was built")
+
+        monkeypatch.setattr(basis_ops, "cloner", unbuilt)
+        line = one_error_line(capsys, ["clone-demo", "--n", "256", "--basis-index", "3"])
+        assert line == f"error: basis cloner needs {2 * 256**3} amplitudes, exceeding MAX_DIM={config.max_dim()}"
 
     def test_requires_exactly_one_input(self, capsys):
         assert cli.main(["clone-demo", "--n", "2"]) == 2
@@ -349,6 +359,21 @@ class TestOutputPlumbing:
         assert "Traceback" not in proc.stderr.decode()
         assert proc.returncode == cli.CLOSED_STDOUT_EXIT != 0
 
+    def test_successive_calls_reach_each_subcommand_and_a_rebound_handler(self, capsys, monkeypatch, x_target_file):
+        calls = []
+
+        def spy(args):
+            calls.append(args.max_len)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_approx", spy)
+        code, report = run_json(capsys, ["clone-demo", "--n", "2", "--basis-index", "1"])
+        assert (code, report["command"]) == (0, "clone-demo")
+        assert cli.main(["approx", "--target", x_target_file, "--epsilon", "0.1", "--max-len", "3"]) == 0
+        assert calls == [3]
+        code, report = run_json(capsys, ["clone-demo", "--n", "3", "--basis-index", "2"])
+        assert (code, report["n"]) == (0, 3)
+
     def test_reports_are_byte_stable(self, capsys):
         code1 = cli.main(["clone-demo", "--n", "2", "--basis-index", "1"])
         first = capsys.readouterr().out
@@ -390,6 +415,11 @@ class TestJsonArguments:
         path.write_bytes(b'{"gates": "\xff"}')
         line = one_error_line(capsys, ["tape-run", "--tape", "n=2;cells=1;head=0", "--gates", str(path)])
         assert "not UTF-8" in line
+
+    @pytest.mark.parametrize("text", ["", " ", "\n"])
+    def test_empty_text_is_malformed_json_not_a_directory(self, capsys, text):
+        line = one_error_line(capsys, ["clone-demo", "--n", "2", "--state", text])
+        assert line.startswith("error: state: malformed JSON at line ")
 
     def test_directory(self, capsys, tmp_path):
         line = one_error_line(capsys, ["tape-run", "--tape", "n=2;cells=1;head=0", "--gates", str(tmp_path)])

@@ -13,6 +13,7 @@ from qreplica.errors import CapacityError, ContractError, InputError
 from qreplica.linalg import (
     Operator,
     StateVector,
+    _state_with_amps,
     apply,
     basis_state,
     fidelity,
@@ -82,6 +83,11 @@ class TestStateVector:
         with pytest.raises(ValueError):
             s.amps[0] = 0.0
 
+    def test_owned_amplitudes_are_frozen_not_copied(self):
+        amps = np.array([INV_SQRT2, 1j * INV_SQRT2])
+        s = _state_with_amps(amps)
+        assert s.amps is amps and not amps.flags.writeable
+
 
 def reference_state_check(amps) -> np.ndarray:
     """Test-only copy of the earlier two-scan StateVector check."""
@@ -128,6 +134,8 @@ def test_state_check_matches_the_two_scan_form(seed, dim, scale, injected):
     # The reference's np.linalg.norm warns when the norm overflows; StateVector never warns.
     assert caught == []
     assert result == _outcome(reference_state_check, amps)[0]
+    # A state built on an array the caller owns runs the same check.
+    assert _outcome(_state_with_amps, amps.copy()) == (result, [])
 
 
 def _outcome(check, amps):

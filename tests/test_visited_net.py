@@ -119,3 +119,136 @@ def test_a_product_within_the_radius_of_an_admitted_one_is_covered(
 
     same_level = _VisitedNet(dim, radius)
     assert list(same_level.admit(np.stack([a.reshape(-1), b.reshape(-1)]))) == [0]
+
+
+def _restrict(perm, mask):
+    """The masked elements' indices among themselves, in ``perm``'s order."""
+    return (np.cumsum(mask) - 1)[perm[mask[perm]]]
+
+
+class TwoPassNet(_VisitedNet):
+    """Reference admit: each level probes the stored products' index, then an
+    index of its own uncovered products, and the kept ones are inserted after.
+
+    This is the net's earlier, independent design: two probes per product, one
+    per index, with ``np.insert`` upkeep. Its overlaps come from the same
+    einsum rows and two-row recompute, so its decisions must be the same.
+    """
+
+    def admit(self, flats):
+        cells, bases = self._keys(flats)
+        by_cell, by_base = np.argsort(cells), np.argsort(bases)
+        covered = np.zeros(len(flats), dtype=bool)
+        covering, _ = self._pairs(flats, bases, by_base, self._buf, self._sorted, self._order)
+        covered[covering] = True
+        fresh = np.flatnonzero(~covered)
+        fresh_flats, fresh_cells = flats[fresh], cells[fresh]
+        by_cell, by_base = _restrict(by_cell, ~covered), _restrict(by_base, ~covered)
+        later, earlier = self._pairs(
+            fresh_flats, bases[fresh], by_base, fresh_flats, fresh_cells[by_cell], by_cell, earlier_only=True
+        )
+        kept = np.ones(len(fresh), dtype=bool)
+        by_later = np.lexsort((earlier, later))
+        for j, k in zip(later[by_later].tolist(), earlier[by_later].tolist()):
+            if kept[k]:
+                kept[j] = False
+        self._add(fresh_flats[kept], fresh_cells[kept], _restrict(by_cell, kept))
+        return fresh[kept]
+
+    def _add(self, flats, cells, order):
+        end = self._count + len(flats)
+        if end > len(self._buf):
+            grown = np.empty((max(end, 2 * len(self._buf)), self._buf.shape[1]), dtype=complex)
+            grown[: self._count] = self._buf[: self._count]
+            self._buf = grown
+        self._buf[self._count : end] = flats
+        new_sorted = cells[order]
+        at = np.searchsorted(self._sorted, new_sorted)
+        self._sorted = np.insert(self._sorted, at, new_sorted)
+        self._order = np.insert(self._order, at, order + self._count)
+        self._count = end
+
+    def _pairs(self, queries, bases, by_base, store, sorted_keys, order, *, earlier_only=False):
+        """Pairs (query q, stored e) with |tr(store[e]†queries[q])| >= threshold."""
+        if not len(sorted_keys):
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        runs = (self._runs[:, None] + bases[by_base]).ravel()
+        lo = np.searchsorted(sorted_keys, runs)
+        counts = np.searchsorted(sorted_keys, runs + 2) - lo
+        slot = np.repeat(np.arange(len(runs)), counts)
+        skip = np.arange(counts.sum()) - (np.cumsum(counts) - counts)[slot]
+        e = order[lo[slot] + skip]
+        q = by_base[slot % len(bases)]
+        if earlier_only:
+            q, e = q[e < q], e[e < q]
+        conj = queries[q].conj()
+        overlaps = np.abs(np.einsum("ij,ij->i", store[e], conj))
+        for i in np.flatnonzero(np.abs(overlaps - self._threshold) <= _EXACT_MARGIN):
+            overlaps[i] = np.abs(store[[e[i], e[i]]] @ conj[i])[0]
+        hit = overlaps >= self._threshold
+        return q[hit], e[hit]
+
+
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+S = np.diag([1.0, 1j])
+T = np.diag([1.0, np.exp(0.25j * np.pi)])
+
+
+def levels(gates, nets, max_len=12, pairs=50_000):
+    """Admit the root and then each level grown from the kept products, as
+    ``best_approximation`` does, to every net in ``nets``; yield each level's
+    products and the kept indices each net returns.
+
+    At coarse radii nearly every pair of products is a candidate, so the
+    levels also stop before one could pair more than ``pairs`` times.
+    """
+    dim = gates.shape[1]
+    frontier, held = np.eye(dim, dtype=complex)[None], 0
+    for _ in range(max_len + 1):
+        if not len(frontier) or len(frontier) * (held + len(frontier)) > pairs:
+            break
+        flats = frontier.reshape(len(frontier), -1)
+        kept = [net.admit(flats) for net in nets]
+        yield flats, kept
+        held += len(kept[0])
+        frontier = np.matmul(gates[None], frontier[kept[0]][:, None]).reshape(-1, dim, dim)
+
+
+gate_sets = st.one_of(
+    st.builds(
+        lambda dim, n, rng: np.stack([random_unitary(dim, rng).entries for _ in range(n)]),
+        st.integers(1, 4),
+        st.integers(2, 3),
+        st.integers(0, 2**32 - 1).map(np.random.default_rng),
+    ),
+    # Exact duplicates and overlaps exactly at the merge threshold.
+    st.sampled_from([np.stack([H, T]), np.stack([H, S, T]), np.stack([X, H, S])]),
+)
+
+
+@settings(max_examples=60)
+@given(gates=gate_sets, radius=st.sampled_from([1e-3, 0.05, 0.2]))
+def test_admit_keeps_what_the_two_pass_admit_keeps(gates, radius):
+    dim = gates.shape[1]
+    for _, (kept, reference) in levels(gates, [_VisitedNet(dim, radius), TwoPassNet(dim, radius)]):
+        assert np.array_equal(kept, reference)
+
+
+@settings(max_examples=40)
+@given(gates=gate_sets, radius=st.sampled_from([1e-3, 0.05, 0.2]))
+def test_the_net_holds_exactly_its_kept_products(gates, radius):
+    """After every admit the buffer holds the kept rows in admission order, and
+    the index is their cell keys, sorted, each pointing at its row."""
+    dim = gates.shape[1]
+    net = _VisitedNet(dim, radius)
+    rows = []
+    for flats, (kept,) in levels(gates, [net]):
+        rows.append(flats[kept])
+        held = np.concatenate(rows)
+        cells, _ = net._keys(held)
+        assert net._count == len(held)
+        assert np.array_equal(net._buf[: net._count], held)
+        assert np.array_equal(net._sorted, np.sort(cells))
+        assert np.array_equal(np.sort(net._order), np.arange(len(held)))
+        assert np.array_equal(cells[net._order], net._sorted)
