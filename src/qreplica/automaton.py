@@ -22,6 +22,7 @@ is the simulator itself (``scattering_apply``).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -36,7 +37,7 @@ from .errors import (
     InputError,
     UndecodableProgramError,
 )
-from .linalg import Operator, StateVector, _integer, apply_sequence, basis_state, fidelity, identity
+from .linalg import Operator, StateVector, _integer, _plain_ints_within, apply_sequence, basis_state, fidelity, identity
 from .tape import Tape, format_tape, parse_tape, replicate_tape, tape_to_state
 
 SEPARATOR = 0
@@ -55,27 +56,26 @@ class ProgramRegistry:
 
     def __init__(self, gate_set: GateSet, segments: Mapping[str, Sequence[int]]):
         object.__setattr__(self, "gate_set", gate_set)
-        normalized = tuple(
-            (
-                str(name),
-                tuple(
-                    c if type(c) is int else _integer(c, f"segment {name!r} symbol")
-                    for c in cells
-                ),
+        n = gate_set.n
+        raw = tuple((name, tuple(cells)) for name, cells in dict(segments).items())
+        checked = _plain_ints_within(tuple(itertools.chain.from_iterable(cells for _, cells in raw)), 1, n)
+        if not checked:
+            raw = tuple(
+                (name, tuple(c if type(c) is int else _integer(c, f"segment {name!r} symbol") for c in cells))
+                for name, cells in raw
             )
-            for name, cells in dict(segments).items()
-        )
+        normalized = tuple((str(name), cells) for name, cells in raw)
         names = [name for name, _ in normalized]
         if len(set(names)) != len(names):
             raise ContractError("segment names must be unique")
-        n = gate_set.n
-        for name, cells in normalized:
-            for c in cells:
-                if not 1 <= c < n:
-                    raise ContractError(
-                        f"segment {name!r} holds symbol {c}; symbols must lie in "
-                        f"[1, {n - 1}] (0 is the separator)"
-                    )
+        if not checked:
+            for name, cells in normalized:
+                for c in cells:
+                    if not 1 <= c < n:
+                        raise ContractError(
+                            f"segment {name!r} holds symbol {c}; symbols must lie in "
+                            f"[1, {n - 1}] (0 is the separator)"
+                        )
         object.__setattr__(self, "segments", normalized)
 
     @property
@@ -105,15 +105,14 @@ def split_segments(t: Tape) -> tuple[tuple[int, ...], ...]:
 
     Raises UndecodableProgramError when the final segment is unterminated.
     """
+    cells = t.cells
     segments: list[tuple[int, ...]] = []
-    current: list[int] = []
-    for c in t.cells:
-        if c == SEPARATOR:
-            segments.append(tuple(current))
-            current = []
-        else:
-            current.append(c)
-    if current:
+    start = 0
+    for _ in range(cells.count(SEPARATOR)):
+        end = cells.index(SEPARATOR, start)
+        segments.append(cells[start:end])
+        start = end + 1
+    if start < len(cells):
         raise UndecodableProgramError(
             "tape does not end on a separator; trailing segment is unterminated"
         )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError, InputError
 from .linalg import Operator, StateVector, _check_capacity, _check_unitary_family, _integer, _operator_with_residual
-from .linalg import apply, basis_state, fidelity, operator_from_json, operator_to_json, tensor_state
+from .linalg import _state_with_amps, apply, basis_state, operator_from_json, operator_to_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,34 +97,57 @@ def conditional_dynamics(blocks: Sequence[Operator]) -> ControlledOperator:
     return ControlledOperator(tuple(blocks))
 
 
+def _check_joint_dim(c: ControlledOperator, dim: int) -> None:
+    if dim != c.joint_dim:
+        raise ContractError(
+            f"joint state dim {dim} does not match "
+            f"control {c.control_dim} × target {c.target_dim}"
+        )
+
+
 def apply_controlled(c: ControlledOperator, joint: StateVector) -> StateVector:
     """Apply the block form to a joint state (control slow, target fast).
 
     Accepts arbitrary joint states, entangled control included: each target
     slice is multiplied by its control index's block.
     """
-    if joint.dim != c.joint_dim:
-        raise ContractError(
-            f"joint state dim {joint.dim} does not match "
-            f"control {c.control_dim} × target {c.target_dim}"
-        )
+    _check_joint_dim(c, joint.dim)
     slices = joint.amps.reshape(c.control_dim, c.target_dim)
     out = np.einsum("lij,lj->li", c._stack, slices)
     return StateVector(out.reshape(-1))
 
 
-def copy_onto_blank(psi: StateVector) -> tuple[StateVector, float]:
-    """Run the basis cloner on psi ⊗ |0⟩: the output and its fidelity to psi ⊗ psi.
+def copy_onto_blank(states: Sequence[StateVector]) -> tuple[tuple[StateVector, ...], tuple[float, ...]]:
+    """Run the basis cloner on psi ⊗ |0⟩ for each psi in ``states``, in one pass.
 
+    Returns the outputs and each one's fidelity to psi ⊗ psi, in input order.
     The fidelity is 1 on basis states and falls short on superposed ones. The
-    joint input is built first, then the cloner's 2·n³ amplitudes are checked
-    against the amplitude budget, so an oversized register is refused before
-    any cloner is built.
+    states must share one dimension n. The n²-amplitude joint input and then
+    the cloner's 2·n³ amplitudes are checked against the amplitude budget, so
+    an oversized register is refused before any cloner is built. Every output
+    row passes the unit-norm check of a state, and each fidelity is
+    |⟨out|psi ⊗ psi⟩|² of that row alone, bit for bit what a one-state batch
+    gives.
     """
-    joint = tensor_state(psi, basis_state(psi.dim, 0))
-    _check_capacity(2 * psi.dim**3, "basis cloner")
-    out = apply_controlled(cloner(psi.dim), joint)
-    return out, fidelity(out, tensor_state(psi, psi))
+    states = tuple(states)
+    if not states:
+        raise ContractError("copy_onto_blank needs at least one state")
+    n = states[0].dim
+    for psi in states:
+        if psi.dim != n:
+            raise ContractError(f"state dims differ: {n} vs {psi.dim}")
+    blank = basis_state(n, 0).amps
+    _check_capacity(n * n, "tensor product state")
+    _check_capacity(2 * n**3, "basis cloner")
+    c = cloner(n)
+    _check_joint_dim(c, n * n)
+    amps = np.stack([psi.amps for psi in states])
+    # The same elementwise products tensor_state makes, one (n, n) slab per state.
+    joint = np.multiply(amps[:, :, None], blank[None, None, :])
+    rows = np.einsum("lij,klj->kli", c._stack, joint).reshape(len(states), n * n)
+    perfect = np.multiply(amps[:, :, None], amps[:, None, :]).reshape(len(states), n * n)
+    outs = tuple(_state_with_amps(row) for row in rows)
+    return outs, tuple(float(abs(np.vdot(row, want)) ** 2) for row, want in zip(rows, perfect))
 
 
 def densify(c: ControlledOperator) -> Operator:

@@ -110,7 +110,7 @@ def cmd_clone_demo(args) -> int:
         input_kind = "amplitudes"
         if psi.dim != args.n:
             raise ContractError(f"input state dim {psi.dim} does not match --n {args.n}")
-    out, achieved = copy_onto_blank(psi)
+    (out,), (achieved,) = copy_onto_blank([psi])
     report = _base_report("clone-demo", args)
     report.update(
         {

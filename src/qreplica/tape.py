@@ -20,7 +20,7 @@ import numpy as np
 from . import config
 from .basis_ops import copy_onto_blank
 from .errors import ContractError, InputError, ReplicationIntegrityError
-from .linalg import StateVector, _check_capacity, _check_unitary_family, _integer, _state_with_amps
+from .linalg import StateVector, _check_capacity, _check_unitary_family, _integer, _plain_ints_within, _state_with_amps
 from .linalg import apply_sequence, basis_state
 
 
@@ -36,25 +36,30 @@ class Tape:
         n = _integer(self.alphabet_size, "alphabet size")
         if n < 1:
             raise ContractError(f"alphabet size must be positive, got {n}")
-        cells = []
-        for i, c in enumerate(self.cells):
-            if type(c) is not int:
-                c = _integer(c, f"cell {i}")
-            if not 0 <= c < n:
-                raise ContractError(f"cell {i} holds symbol {c}, outside alphabet of size {n}")
-            cells.append(c)
+        cells = tuple(self.cells)
+        if not _plain_ints_within(cells, 0, n):
+            cells = tuple(_cell(c, i, n) for i, c in enumerate(cells))
         if not cells:
             raise ContractError("a tape needs at least one cell")
         head = _integer(self.head, "head")
         if not 0 <= head < len(cells):
             raise ContractError(f"head {head} out of range for {len(cells)} cells")
         object.__setattr__(self, "alphabet_size", n)
-        object.__setattr__(self, "cells", tuple(cells))
+        object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "head", head)
 
     @property
     def length(self) -> int:
         return len(self.cells)
+
+
+def _cell(c, i: int, n: int) -> int:
+    """Cell i's symbol as a plain int, or the ContractError that refuses it."""
+    if type(c) is not int:
+        c = _integer(c, f"cell {i}")
+    if not 0 <= c < n:
+        raise ContractError(f"cell {i} holds symbol {c}, outside alphabet of size {n}")
+    return c
 
 
 def tape_index(t: Tape) -> int:
@@ -146,28 +151,27 @@ def replicate_tape(t: Tape) -> Tape:
     A symbol is copied by applying the basis cloner to (symbol, blank) and
     checking the result against the perfect copy; the child's symbol is then
     read back out of the certified output rather than taken on trust. The
-    cloner is deterministic, so each symbol is certified once, at its first
-    occurrence in head-read order, and later cells holding it reuse that
-    result. Raises ReplicationIntegrityError, naming that first cell, if a
-    copy fidelity falls below 1 − REPLICATION_TOL.
+    cloner is deterministic, so one cloner pass per generation certifies every
+    distinct symbol, taken in head-read order, and each cell is filled from
+    its symbol's certified output. Raises ReplicationIntegrityError if a copy
+    fidelity falls below 1 − REPLICATION_TOL, for the first such symbol in
+    head-read order, naming the first cell the head reads it in.
     """
-    n, s = t.alphabet_size, t.length
-    copies: dict[int, int] = {}
-    child = [0] * s
-    # Cells in the order the head reads them, starting under the head.
-    for k in range(s):
-        pos = s - 1 - (t.head + k) % s
-        symbol = t.cells[pos]
-        if symbol not in copies:
-            out, achieved = copy_onto_blank(basis_state(n, symbol))
-            if achieved < 1.0 - config.REPLICATION_TOL:
-                raise ReplicationIntegrityError(
-                    f"cell {pos} copy fidelity {achieved!r} below 1 - REPLICATION_TOL; "
-                    "cloner wiring is broken"
-                )
-            copies[symbol] = int(np.argmax(np.abs(out.amps))) % n
-        child[pos] = copies[symbol]
-    return Tape(n, tuple(child), t.head)
+    n, s, head = t.alphabet_size, t.length, t.head
+    # Cells in the order the head reads them, starting under the head: cell
+    # s − 1 − head down to cell 0, then from cell s − 1 round to s − head.
+    read = t.cells[s - head - 1 :: -1] + t.cells[: s - head - 1 : -1]
+    symbols = tuple(dict.fromkeys(read))
+    outs, fidelities = copy_onto_blank([basis_state(n, symbol) for symbol in symbols])
+    for symbol, achieved in zip(symbols, fidelities):
+        if achieved < 1.0 - config.REPLICATION_TOL:
+            pos = s - 1 - (head + read.index(symbol)) % s
+            raise ReplicationIntegrityError(
+                f"cell {pos} copy fidelity {achieved!r} below 1 - REPLICATION_TOL; "
+                "cloner wiring is broken"
+            )
+    copies = {symbol: int(np.argmax(np.abs(out.amps))) % n for symbol, out in zip(symbols, outs)}
+    return Tape(n, tuple(map(copies.__getitem__, t.cells)), head)
 
 
 # -- text and JSON forms ------------------------------------------------------

@@ -47,8 +47,8 @@ def criterion_basis_cloning() -> CriterionResult:
     """Every basis state of every small basis is copied with fidelity 1."""
     worst = 1.0
     for n in range(2, 9):
-        for k in range(n):
-            worst = min(worst, copy_onto_blank(basis_state(n, k))[1])
+        _, fidelities = copy_onto_blank([basis_state(n, k) for k in range(n)])
+        worst = min(worst, *fidelities)
     return CriterionResult(
         number=1,
         name="perfect basis cloning",
@@ -62,14 +62,14 @@ def criterion_superposition_boundary(rng: np.random.Generator) -> CriterionResul
     worst_fidelity = 0.0
     worst_deviation = 0.0
     for n in range(2, 6):
-        produced = 0
-        while produced < 200:
+        states = []
+        while len(states) < 200:
             psi = random_state(n, rng)
-            if float(np.max(np.abs(psi.amps) ** 2)) > 0.999:
-                continue
-            produced += 1
-            out, achieved = copy_onto_blank(psi)
-            worst_fidelity = max(worst_fidelity, achieved)
+            if float(np.max(np.abs(psi.amps) ** 2)) <= 0.999:
+                states.append(psi)
+        outs, fidelities = copy_onto_blank(states)
+        worst_fidelity = max(worst_fidelity, *fidelities)
+        for psi, out in zip(states, outs):
             analytic = np.zeros(n * n, dtype=complex)
             analytic[np.arange(n) * n + np.arange(n)] = psi.amps
             worst_deviation = max(worst_deviation, float(np.max(np.abs(out.amps - analytic))))

@@ -81,6 +81,49 @@ class TestProgramRegistry:
             demo_registry(2).segment("missing")
 
 
+def reference_segments(n, segments):
+    """Registry validation one symbol at a time: the segments, or the error message."""
+    normalized = []
+    for name, cells in segments.items():
+        symbols = []
+        for c in cells:
+            if type(c) is not int:
+                if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                    return f"segment {name!r} symbol must be an integer, got {c!r}"
+                c = int(c)
+            symbols.append(c)
+        normalized.append((str(name), tuple(symbols)))
+    names = [name for name, _ in normalized]
+    if len(set(names)) != len(names):
+        return "segment names must be unique"
+    for name, cells in normalized:
+        for c in cells:
+            if not 1 <= c < n:
+                return f"segment {name!r} holds symbol {c}; symbols must lie in [1, {n - 1}] (0 is the separator)"
+    return tuple(normalized)
+
+
+@given(
+    segments=st.dictionaries(
+        st.sampled_from(["a", "b", 1, "1"]),
+        st.lists(
+            st.one_of(st.integers(-1, 5), st.booleans(), st.integers(-1, 5).map(np.int64), st.just(2.0)),
+            max_size=5,
+        ),
+        max_size=3,
+    )
+)
+def test_segment_validation_matches_the_per_symbol_check(segments):
+    gate_set = demo_registry(2).gate_set
+    try:
+        outcome = ProgramRegistry(gate_set, segments).segments
+    except ContractError as exc:
+        outcome = str(exc)
+    assert outcome == reference_segments(gate_set.n, segments)
+    if isinstance(outcome, tuple):
+        assert all(type(c) is int for _, cells in outcome for c in cells)
+
+
 class TestTapeLayout:
     def test_encode_appends_separators(self):
         t = encode_tape(demo_registry(2))

@@ -8,7 +8,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import qreplica.basis_ops
 from qreplica import config
 from qreplica.basis_ops import (
     ControlledOperator,
@@ -17,6 +20,7 @@ from qreplica.basis_ops import (
     conditional_dynamics,
     controlled_from_json,
     controlled_to_json,
+    copy_onto_blank,
     cyclic_shift,
     densify,
     shift_power,
@@ -154,6 +158,59 @@ class TestCloner:
                 analytic = np.zeros(n * n, dtype=complex)
                 analytic[np.arange(n) * n + np.arange(n)] = psi.amps
                 np.testing.assert_allclose(out.amps, analytic, atol=1e-10)
+
+
+def reference_copy(psi):
+    """The one-state copy check, step by step: psi ⊗ |0⟩ through the block form."""
+    n = psi.dim
+    out = apply_controlled(cloner(n), tensor_state(psi, basis_state(n, 0)))
+    return out, fidelity(out, tensor_state(psi, psi))
+
+
+@st.composite
+def copy_batches(draw):
+    """n, then 1 to 2n states drawn from a pool of basis and Haar states, in
+    any order and with repeats."""
+    n = draw(st.integers(1, 8))
+    kinds = st.one_of(
+        st.builds(lambda k: basis_state(n, k), st.integers(0, n - 1)),
+        st.builds(lambda seed: random_state(n, np.random.default_rng(seed)), st.integers(0, 2**32 - 1)),
+    )
+    pool = draw(st.lists(kinds, min_size=1, max_size=n + 1))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=2 * n))
+    return [pool[i] for i in picks]
+
+
+class TestCopyOntoBlank:
+    @given(states=copy_batches())
+    def test_batch_matches_the_one_state_path_byte_for_byte(self, states):
+        outs, fidelities = copy_onto_blank(states)
+        assert len(outs) == len(fidelities) == len(states)
+        for psi, out, achieved in zip(states, outs, fidelities):
+            ref_out, ref_fidelity = reference_copy(psi)
+            assert out.amps.tobytes() == ref_out.amps.tobytes()
+            assert np.float64(achieved).tobytes() == np.float64(ref_fidelity).tobytes()
+            assert type(achieved) is float
+            assert not out.amps.flags.writeable
+
+    def test_refuses_an_empty_or_mixed_batch(self):
+        with pytest.raises(ContractError, match="at least one state"):
+            copy_onto_blank([])
+        with pytest.raises(ContractError, match="state dims differ: 2 vs 3"):
+            copy_onto_blank([basis_state(2, 0), basis_state(3, 0)])
+
+    @pytest.mark.parametrize(
+        "limit, message",
+        [("8", "tensor product state needs 9 amplitudes"), ("20", "basis cloner needs 54 amplitudes")],
+    )
+    def test_joint_then_cloner_budget_is_checked_before_any_cloner_is_built(self, monkeypatch, limit, message):
+        def unbuilt(n):
+            raise AssertionError(f"cloner({n}) was built")
+
+        monkeypatch.setattr(qreplica.basis_ops, "cloner", unbuilt)
+        monkeypatch.setenv(config.ENV_MAX_DIM, limit)
+        with pytest.raises(CapacityError, match=message):
+            copy_onto_blank([basis_state(3, 1), basis_state(3, 2)])
 
 
 class TestConditionalDynamics:

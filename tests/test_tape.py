@@ -14,8 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qreplica.basis_ops
+import qreplica.tape
 from qreplica import config
-from qreplica.basis_ops import apply_controlled, conditional_dynamics, shift_power
+from qreplica.basis_ops import conditional_dynamics, copy_onto_blank, shift_power
 from qreplica.errors import CapacityError, ContractError, InputError, ReplicationIntegrityError
 from qreplica.linalg import (
     Operator,
@@ -100,6 +101,42 @@ class TestTapeType:
     def test_non_integers_are_refused(self, args, what):
         with pytest.raises(ContractError, match=what):
             Tape(*args)
+
+
+# Symbols a caller may hand over: plain ints in and out of range, bools, numpy
+# integers and floats, so the fast path and the per-cell check both run.
+SYMBOLS = st.one_of(
+    st.integers(-2, 5),
+    st.booleans(),
+    st.integers(-2, 5).map(np.int64),
+    st.sampled_from([1.0, 2.5, np.float64(0.0)]),
+)
+
+
+def reference_cells(n, cells):
+    """Cell validation one cell at a time: the checked cells, or the error message."""
+    checked = []
+    for i, c in enumerate(cells):
+        if type(c) is not int:
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                return f"cell {i} must be an integer, got {c!r}"
+            c = int(c)
+        if not 0 <= c < n:
+            return f"cell {i} holds symbol {c}, outside alphabet of size {n}"
+        checked.append(c)
+    return tuple(checked) if checked else "a tape needs at least one cell"
+
+
+@given(n=st.integers(1, 4), cells=st.lists(SYMBOLS, max_size=12))
+def test_cell_validation_matches_the_per_cell_check(n, cells):
+    try:
+        outcome = Tape(n, tuple(cells)).cells
+    except ContractError as exc:
+        outcome = str(exc)
+    expected = reference_cells(n, cells)
+    assert outcome == expected
+    if isinstance(outcome, tuple):
+        assert all(type(c) is int for c in outcome)
 
 
 class TestTapeState:
@@ -298,13 +335,24 @@ class TestReplicateTape:
         parent = Tape(3, (1, 0, 1, 1), head=1)
         assert replicate_tape(parent) == parent
 
+    def test_child_is_read_from_the_copy_register(self, monkeypatch):
+        """A cloner wired one symbol off, certified against a floor of 0: each child
+        cell holds what the output's copy register holds, not the parent's symbol."""
+        monkeypatch.setattr(
+            qreplica.basis_ops, "cloner", lambda n: conditional_dynamics([shift_power(n, l + 1) for l in range(n)])
+        )
+        with config.overridden([("REPLICATION_TOL", 1.0)]):
+            child = replicate_tape(Tape(3, (2, 1, 0, 1), head=1))
+        assert child == Tape(3, (0, 2, 1, 2), head=1)
+
     def test_each_distinct_symbol_is_certified_once(self):
         cells = tuple(int(c) for c in np.random.default_rng(5).integers(0, 4, 240))
         parent = Tape(4, cells, head=17)
-        with mock.patch.object(qreplica.basis_ops, "apply_controlled", wraps=apply_controlled) as spy:
+        with mock.patch.object(qreplica.tape, "copy_onto_blank", wraps=copy_onto_blank) as spy:
             child = replicate_tape(parent)
         assert child == parent
-        assert spy.call_count <= 4
+        assert spy.call_count == 1
+        assert len(spy.call_args.args[0]) == len(set(cells)) <= 4
 
 
 class TestTextAndJson:
