@@ -10,18 +10,19 @@ not that no sequence exists.
 
 Each level is ranked from its parents, since |tr((G F)†T)| = |⟨F, G†T⟩|, and
 only its best products are built to decide it. A level is built in full, with
-one stacked matrix product, and admitted to the net only if another level
-grows from it. The net is indexed by a grid on three phase-invariant
-coordinates of each product. A merge moves each coordinate by at most half a
-cell side, so a product's merge partners lie within 2 cells per axis of it
-(see ``_VisitedNet``). A level joins the index before it is probed, so one
-probe per product finds its partners among the kept products and among the
-earlier products of its own level. The grid only proposes merge candidates,
-and every merge is confirmed with the exact test |tr(A†B)| >= d(1 − r²).
-Overlaps within 1e-12 of that threshold are recomputed as a matrix-vector
-product of the net with the new product before they decide, so indexing
-changes which pairs are compared, never which products merge or what the
-search returns.
+one BLAS call per parent that yields all its n products, and admitted to the
+net only if another level grows from it. Each call still has dim columns, so
+every product has the bits of its own 2-D matrix product. The net is indexed
+by a grid on three phase-invariant coordinates of each product. A merge moves
+each coordinate by at most half a cell side, so a product's merge partners lie
+within 2 cells per axis of it (see ``_VisitedNet``). A level joins the index
+before it is probed, so one probe per product finds its partners among the
+kept products and among the earlier products of its own level. The grid only
+proposes merge candidates, and every merge is confirmed with the exact test
+|tr(A†B)| >= d(1 − r²). Overlaps within 1e-12 of that threshold are
+recomputed as a matrix-vector product of the net with the new product before
+they decide, so indexing changes which pairs are compared, never which
+products merge or what the search returns.
 
 Ties between equally good sequences are broken toward shorter length, then
 lexicographically smaller symbols (in application order), so every search is
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import config
 from .errors import ContractError, InputError
-from .linalg import Operator, _check_unitary_family, _integer, apply_sequence, operator_from_json, operator_to_json
+from .linalg import Operator, _check_capacity, _check_unitary_family, _integer, apply_sequence, operator_from_json, operator_to_json
 from .tape import Tape, format_tape
 
 
@@ -276,8 +277,13 @@ class _VisitedNet:
         ends = runs + 2
         first = sorted_keys[np.minimum(lo, len(sorted_keys) - 1)]
         slots = np.flatnonzero((lo < len(sorted_keys)) & (first < ends))
-        lo = lo[slots]
-        counts = np.searchsorted(sorted_keys, ends[slots]) - lo
+        lo, ends = lo[slots], ends[slots]
+        # A run holds one key unless its second key is in it too: only then
+        # look for its end.
+        counts = np.ones(len(slots), dtype=np.intp)
+        second = sorted_keys[np.minimum(lo + 1, len(sorted_keys) - 1)]
+        multi = np.flatnonzero((lo + 1 < len(sorted_keys)) & (second < ends))
+        counts[multi] = np.searchsorted(sorted_keys, ends[multi]) - lo[multi]
         slot_queries = by_base[slots % len(bases)]
         totals = np.cumsum(counts)
         found_q, found_e = [], []
@@ -325,7 +331,11 @@ def best_approximation(
     """Best product of length ≤ max_len, by level-by-level enumeration.
 
     Each level is evaluated from its parents, then expanded (built in full and
-    admitted to the visited net) only if another level follows.
+    admitted to the visited net) only if another level follows. A level is
+    built with one BLAS call per parent, the n gates stacked as rows over it;
+    the call keeps dim columns, so each product's bits are those of
+    ``gate @ parent`` alone. A level of more than MAX_DIM amplitudes is
+    refused with ``CapacityError``.
 
     With ``epsilon`` set, the search stops after the first level at which the
     best distance so far reaches epsilon (finishing that level, so the result
@@ -345,6 +355,9 @@ def best_approximation(
 
     dim, n = g.dim, g.n
     gate_mats = np.stack([gate.entries for gate in g.gates])
+    # Rows l·dim to (l + 1)·dim are gate l, so gate_rows @ F is F's n products
+    # in symbol order, from one BLAS call with dim columns.
+    gate_rows = gate_mats.reshape(n * dim, dim)
     target_flat = target.entries.reshape(-1)
     # Column l is conj(G_l†T): a parent F times it is conj(tr((G_l F)†T)).
     lifted = (gate_mats.conj().transpose(0, 2, 1) @ target.entries).reshape(n, -1).conj().T
@@ -372,7 +385,7 @@ def best_approximation(
         expansions += len(frontier) * n
         screened = np.abs(frontier.reshape(len(frontier), -1) @ lifted).reshape(-1)
         # Screened and built overlaps differ by far less than the margin, so this
-        # keeps the best and all near it, built with the stacked product's bits.
+        # keeps the best and all near it, built with the expanded level's bits.
         picks = np.flatnonzero(screened >= screened.max() - 2.0 * _EXACT_MARGIN)
         flats = np.matmul(gate_mats[picks % n], frontier[picks // n]).reshape(len(picks), -1)
         # One row more: numpy rounds a one-row product in another (dot) kernel.
@@ -386,7 +399,8 @@ def best_approximation(
         # Expand: build and admit only a level that another grows from.
         if level == max_len - 1 or (epsilon is not None and best_dist <= epsilon):
             break
-        products = np.matmul(gate_mats[None], frontier[:, None]).reshape(-1, dim, dim)
+        _check_capacity(len(frontier) * n * dim * dim, "approximation level")
+        products = np.matmul(gate_rows, frontier).reshape(-1, dim, dim)
         kept = net.admit(products.reshape(len(products), -1))
         parents.append(kept // n)
         last_symbols.append(kept % n)

@@ -7,6 +7,7 @@ the searched results must never beat it and never fall behind it.
 import numpy as np
 import pytest
 
+from qreplica import config
 from qreplica.approx import (
     ApproxResult,
     GateSet,
@@ -18,7 +19,7 @@ from qreplica.approx import (
     rotation_z,
     sequence_unitary,
 )
-from qreplica.errors import ContractError
+from qreplica.errors import CapacityError, ContractError
 from qreplica.linalg import Operator, identity, phase_invariant_distance, random_unitary
 from qreplica.tape import Tape
 
@@ -202,6 +203,17 @@ class TestApproximate:
             best_approximation(identity(3), g, 4, epsilon=0.1)
         with pytest.raises(ContractError, match="max_len"):
             best_approximation(X, g, 0, epsilon=0.1)
+
+    def test_an_expanded_level_beyond_max_dim_is_refused(self, monkeypatch):
+        """Levels of 2, 4, 8 and 16 products of 4 amplitudes fit 64; the
+        fifth level, built only when a sixth follows, would hold 128."""
+        monkeypatch.setenv(config.ENV_MAX_DIM, "64")
+        g = default_gate_set()
+        assert len(best_approximation(X, g, 5).symbols) == 4
+        with pytest.raises(CapacityError, match=r"^approximation level needs 128 amplitudes, exceeding MAX_DIM=64$"):
+            best_approximation(X, g, 6)
+        # A search that meets epsilon before that level never builds it.
+        assert best_approximation(g.gates[0], g, 40, epsilon=0.25).symbols == (0,)
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
     def test_search_inputs_must_be_positive_and_finite(self, bad):

@@ -176,19 +176,23 @@ def test_matches_linear_scan_with_epsilon_met_exactly_at_an_intermediate_level(s
     assert (len(result.symbols), result.achieved_distance) == (length, distance)
 
 
-@pytest.fixture
-def admitted(monkeypatch):
-    """Sizes of the batches ``_VisitedNet.admit`` is given and keeps, in call order."""
+def spy_on_admit(patch):
+    """Each batch ``_VisitedNet.admit`` is given and the indices it keeps, in call order."""
     calls = []
     admit = _VisitedNet.admit
 
     def spy(self, flats):
         kept = admit(self, flats)
-        calls.append((len(flats), len(kept)))
+        calls.append((flats.copy(), kept))
         return kept
 
-    monkeypatch.setattr(_VisitedNet, "admit", spy)
+    patch.setattr(_VisitedNet, "admit", spy)
     return calls
+
+
+@pytest.fixture
+def admitted(monkeypatch):
+    return spy_on_admit(monkeypatch)
 
 
 @pytest.mark.parametrize("max_len", [1, 2, 7])
@@ -197,12 +201,13 @@ def test_only_levels_that_are_expanded_are_admitted(admitted, max_len):
     final level is evaluated, which counts its products, but never admitted."""
     g = default_gate_set()
     result = best_approximation(H, g, max_len)
-    assert len(admitted) == max_len
-    assert admitted[0] == (1, 1)
-    for (_, kept), (given_next, _) in zip(admitted, admitted[1:]):
+    sizes = [(len(flats), len(kept)) for flats, kept in admitted]
+    assert len(sizes) == max_len
+    assert sizes[0] == (1, 1)
+    for (_, kept), (given_next, _) in zip(sizes, sizes[1:]):
         assert given_next == kept * g.n
-    final_level = admitted[-1][1] * g.n
-    assert result.expansions == sum(size for size, _ in admitted) + final_level
+    final_level = sizes[-1][1] * g.n
+    assert result.expansions == sum(size for size, _ in sizes) + final_level
 
 
 def test_a_level_that_meets_epsilon_is_not_admitted(admitted):
@@ -213,6 +218,51 @@ def test_a_level_that_meets_epsilon_is_not_admitted(admitted):
     best_approximation(target, g, 10, epsilon=distance)
     # The root and the levels of length 1, ..., length − 1.
     assert len(admitted) == length
+
+
+def clifford_t_gates(dim, picks):
+    """Gates with a block of X, H, S or T on rows and columns k, k + 1 and 1
+    elsewhere, or for dim 1 the phases 1, i, e^{iπ/4} and −1: exact zeros,
+    and a repeated pick is an exact duplicate."""
+    if dim == 1:
+        phases = (1.0, 1j, np.exp(0.25j * np.pi), -1.0)
+        return [np.array([[phases[block]]], dtype=complex) for block, _ in picks]
+    gates = []
+    for block, k in picks:
+        gate = np.eye(dim, dtype=complex)
+        k %= dim - 1
+        gate[k : k + 2, k : k + 2] = (X, H, S, T)[block].entries
+        gates.append(gate)
+    return gates
+
+
+@settings(max_examples=60)
+@given(
+    dim=st.integers(1, 6),
+    n_gates=st.integers(1, 5),
+    clifford_t=st.booleans(),
+    radius=st.sampled_from([1e-3, 0.05, 0.2]),
+    data=st.data(),
+)
+def test_each_level_is_built_with_the_per_product_bits(dim, n_gates, clifford_t, radius, data):
+    """Every admitted level holds gate l times kept product i of the level
+    before, at row i·n + l, with the bits of that one 2-D product."""
+    if clifford_t:
+        picks = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), min_size=n_gates, max_size=n_gates))
+        gates = clifford_t_gates(dim, picks)
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        gates = [random_unitary(dim, rng).entries for _ in range(n_gates)]
+    g = GateSet(tuple(Operator(gate) for gate in gates))
+    target = random_unitary(dim, np.random.default_rng(0))
+    # The last level built holds at most about 800 products.
+    max_len = 12 if n_gates == 1 else 1 + int(np.log(800) / np.log(n_gates))
+    with pytest.MonkeyPatch.context() as patch:
+        calls = spy_on_admit(patch)
+        best_approximation(target, g, max_len, net_radius=radius)
+    for (flats, kept), (level, _) in zip(calls, calls[1:]):
+        expected = [gate @ parent.reshape(dim, dim) for parent in flats[kept] for gate in gates]
+        assert level.tobytes() == np.stack(expected).tobytes()
 
 
 PINNED_AT_LENGTH_14 = {

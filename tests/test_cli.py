@@ -16,7 +16,7 @@ from qreplica import basis_ops, config
 from qreplica.approx import GateSet, default_gate_set, gate_set_to_json
 from qreplica.automaton import automaton_to_json, demo_automaton
 from qreplica.errors import ReplicationIntegrityError
-from qreplica.linalg import Operator, identity, operator_to_json
+from qreplica.linalg import Operator, identity, operator_to_json, random_unitary
 
 
 @pytest.fixture
@@ -255,6 +255,15 @@ class TestApprox:
         )
         assert code == 0
         assert report["result"]["labels"][0] in ("rz", "rx")
+
+    def test_an_over_deep_search_ends_in_exit_2(self, capsys, monkeypatch):
+        """A search that cannot meet epsilon grows each level until the next
+        one would exceed MAX_DIM; it ends in one error line, not a traceback."""
+        monkeypatch.setenv(config.ENV_MAX_DIM, "4096")
+        target = json.dumps(operator_to_json(random_unitary(2, np.random.default_rng(5))))
+        line = one_error_line(capsys, ["approx", "--target", target, "--epsilon", "1e-12", "--max-len", "40"])
+        assert line.startswith("error: approximation level needs ")
+        assert line.endswith(" amplitudes, exceeding MAX_DIM=4096")
 
     def test_bad_epsilon(self, capsys, x_target_file):
         assert cli.main(["approx", "--target", x_target_file, "--epsilon", "0", "--max-len", "4"]) == 2
