@@ -37,7 +37,8 @@ from .errors import (
     InputError,
     UndecodableProgramError,
 )
-from .linalg import Operator, StateVector, _integer, _plain_ints_within, apply_sequence, basis_state, fidelity, identity
+from .linalg import Operator, StateVector, _integer, _plain_ints_within, _state_with_amps, apply_sequence, basis_state
+from .linalg import fidelity, identity
 from .tape import Tape, format_tape, parse_tape, replicate_tape, tape_to_state
 
 SEPARATOR = 0
@@ -159,7 +160,8 @@ def translate(t: Tape, registry: ProgramRegistry) -> StateVector:
         )
     matrices = [gate.entries for gate in registry.gate_set.gates]
     blank = basis_state(registry.gate_set.dim, 0)
-    return StateVector(apply_sequence(matrices, reversed(t.cells), blank.amps))
+    # A tape has at least one cell, so the kernel returns its own new buffer.
+    return _state_with_amps(apply_sequence(matrices, reversed(t.cells), blank.amps))
 
 
 def scattering_apply(

@@ -89,10 +89,7 @@ def _check_amplitudes(arr: np.ndarray) -> None:
     non-empty, finite and of unit norm."""
     if arr.ndim != 1 or arr.size < 1:
         raise ContractError("state amplitudes must form a non-empty 1-d sequence")
-    # np.linalg.norm's own sum for a complex vector, so norm has its bits.
-    re, im = arr.real, arr.imag
-    with np.errstate(over="ignore", invalid="ignore"):
-        sqnorm = re.dot(re) + im.dot(im)
+    sqnorm = _squared_norm(arr)
     # A sum of non-negative terms is finite only if every term is, so only an
     # infinite sum needs a scan; if all amplitudes are finite, the norm overflowed.
     if not math.isfinite(sqnorm) and not np.all(np.isfinite(arr)):
@@ -102,8 +99,18 @@ def _check_amplitudes(arr: np.ndarray) -> None:
         raise ContractError(f"state norm {norm!r} deviates from 1 beyond NORM_TOL")
 
 
+# Only amplitudes beyond ~1e154 overflow the sum; the caller's error state is
+# restored on return, so a guard set by the caller never sees the overflow.
+@np.errstate(over="ignore", invalid="ignore")
+def _squared_norm(arr: np.ndarray) -> float:
+    """Sum of |a|² over a complex vector: np.linalg.norm's own sum, so the norm has its bits."""
+    re, im = arr.real, arr.imag
+    return re.dot(re) + im.dot(im)
+
+
 def _state_with_amps(amps: np.ndarray) -> StateVector:
-    """State from a complex array the caller owns (checked and frozen, not copied)."""
+    """State on a complex array the program has just built and owns: checked and
+    frozen in place, not copied. No one else may hold a writable view of it."""
     _check_amplitudes(amps)
     amps.setflags(write=False)
     state = object.__new__(StateVector)
@@ -130,7 +137,7 @@ def basis_state(dim: int, index: int) -> StateVector:
     _check_capacity(dim, "basis state")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
-    return StateVector(amps)
+    return _state_with_amps(amps)
 
 
 def identity(dim: int) -> Operator:
@@ -172,17 +179,29 @@ def apply(op: Operator, state: StateVector) -> StateVector:
 def apply_sequence(matrices, symbols, x: np.ndarray) -> np.ndarray:
     """Apply ``matrices[c]`` for each symbol c in turn, the first symbol first.
 
-    The gate array's one kernel: raw arrays, no checks (callers validate the
-    gates and wrap the result). Each step is ``matrices[c].dot(x)``, and x may
-    be a vector or a matrix. On the contiguous complex arrays callers pass,
-    ``.dot`` reaches the same BLAS routine as ``@`` (same bytes) but skips the
-    matmul dispatch, which costs more than the product itself at small d. At
-    d = 1 ``.dot`` multiplies as scalars and keeps a zero's sign that ``@``
-    drops, so 1×1 gates step with ``@``.
+    The gate array's one kernel: raw arrays of one dtype, no checks (callers
+    validate the gates and wrap the result). x may be a vector or a matrix and
+    is never written: the first step allocates a buffer in the product's dtype,
+    then a spare of the same shape, and each later step writes one of the two
+    buffers from the other. For one symbol or more the result is one of those
+    buffers, owned by the caller; for none it is x itself.
+
+    Each step is ``matrices[c].dot(x, out)``. On the contiguous complex arrays
+    callers pass, ``.dot`` reaches the same BLAS routine as ``@`` (same bytes)
+    but skips the matmul dispatch, which costs more than the product itself at
+    small d. At d = 1 ``.dot`` multiplies as scalars and keeps a zero's sign
+    that ``@`` drops, so 1×1 gates step with ``@``.
     """
     step = np.ndarray.dot if x.shape[0] > 1 else np.matmul
+    symbols = iter(symbols)
+    first = next(symbols, None)
+    if first is None:
+        return x
+    x = step(matrices[first], x)
+    spare = np.empty_like(x)
     for c in symbols:
-        x = step(matrices[c], x)
+        step(matrices[c], x, spare)
+        x, spare = spare, x
     return x
 
 

@@ -99,7 +99,8 @@ def run_tape(t: Tape, gates, payload: StateVector) -> StateVector:
     if t.head != 0:
         raise ContractError(f"run_tape starts at cell 1, got head {t.head}")
     matrices = [gate.entries for gate in gates]
-    return StateVector(apply_sequence(matrices, reversed(t.cells), payload.amps))
+    # A tape has at least one cell, so the kernel returns its own new buffer.
+    return _state_with_amps(apply_sequence(matrices, reversed(t.cells), payload.amps))
 
 
 def joint_tape_evolution(t: Tape, gates, payload: StateVector) -> StateVector:
@@ -170,7 +171,9 @@ def replicate_tape(t: Tape) -> Tape:
                 f"cell {pos} copy fidelity {achieved!r} below 1 - REPLICATION_TOL; "
                 "cloner wiring is broken"
             )
-    copies = {symbol: int(np.argmax(np.abs(out.amps))) % n for symbol, out in zip(symbols, outs)}
+    # A certified output peaks at index symbol·n + copy: the copy register is the fast index.
+    copied = (np.abs(np.stack([out.amps for out in outs])).argmax(axis=1) % n).tolist()
+    copies = dict(zip(symbols, copied))
     return Tape(n, tuple(map(copies.__getitem__, t.cells)), head)
 
 

@@ -66,6 +66,18 @@ class TestStateVector:
             with pytest.raises(ContractError, match=f"^{message}$"):
                 StateVector(np.array([1e200, 0.0]))
 
+    def test_overflow_guard_leaves_the_callers_error_state(self):
+        before = np.geterr()
+        with pytest.raises(ContractError, match="^state norm inf"):
+            StateVector(np.array([1e200, 0.0]))
+        assert np.geterr() == before
+        # The norm's own guard holds inside a caller's stricter one.
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(ContractError, match="^state norm inf"):
+                StateVector(np.array([1e200, 0.0]))
+            assert np.geterr()["over"] == "raise"
+        assert np.geterr() == before
+
     def test_rejects_empty(self):
         with pytest.raises(ContractError):
             StateVector(np.array([], dtype=complex))

@@ -164,7 +164,8 @@ def reference_apply_sequence(matrices, symbols, x):
     d=st.integers(1, 16),
     n=st.integers(1, 4),
     start=st.sampled_from(["vector", "identity", "matrix"]),
-    length=st.integers(0, 40),
+    # Lengths 0-2 end on each side of the buffer swap, and on no step at all.
+    length=st.integers(0, 2) | st.integers(0, 40),
 )
 def test_apply_sequence_matches_the_matmul_fold(seed, d, n, start, length):
     rng = np.random.default_rng(seed)
@@ -179,5 +180,14 @@ def test_apply_sequence_matches_the_matmul_fold(seed, d, n, start, length):
     matrices = [raw((d, d)) for _ in range(n)]
     x = np.eye(d, dtype=complex) if start == "identity" else raw(d if start == "vector" else (d, d))
     symbols = [int(c) for c in rng.integers(0, n, length)]
+    given_bytes = x.tobytes()
     got = apply_sequence(matrices, symbols, x)
-    assert got.tobytes() == reference_apply_sequence(matrices, symbols, x).tobytes()
+    got_bytes = got.tobytes()
+    assert x.tobytes() == given_bytes
+    assert got_bytes == reference_apply_sequence(matrices, symbols, x).tobytes()
+    if length:
+        # The result is the kernel's own buffer: the caller may freeze it in place.
+        assert not np.shares_memory(got, x)
+        again = apply_sequence(matrices, symbols, x)
+        assert got.tobytes() == got_bytes and again.tobytes() == got_bytes
+        assert not np.shares_memory(got, again)
