@@ -9,9 +9,10 @@ general states.
 The replication cycle has two steps: (1) copy the tape cell by cell with the
 basis cloner, certifying each distinct symbol's copy once; (2) rebuild the
 payload by running the child's tape through the parent's gate set on a blank
-register. The child's own registry is then decoded from its tape and must
-match the parent's, so heredity is a checked outcome rather than an
-implementation shortcut.
+register. The child's segments are then decoded from its tape and checked
+against the parent's, so heredity is a checked outcome rather than an
+implementation shortcut; only then does the child carry the parent's
+registry, which that check has shown equal to the one its tape encodes.
 
 Program segments are laid out on the tape as symbol runs over {1, …, n−1},
 each terminated by one separator cell (symbol 0), making the layout
@@ -120,19 +121,32 @@ def split_segments(t: Tape) -> tuple[tuple[int, ...], ...]:
     return tuple(segments)
 
 
-def registry_from_tape(t: Tape, parent: ProgramRegistry) -> ProgramRegistry:
-    """Decode a registry from a tape, naming segments in the parent's order."""
-    if t.alphabet_size != parent.gate_set.n:
+def _decoded_segments(t: Tape, registry: ProgramRegistry) -> tuple[tuple[int, ...], ...]:
+    """The tape's segments, one for each of the registry's names, in its order.
+
+    Raises UndecodableProgramError when the alphabets differ, the last segment
+    is unterminated or the segment count is not the registry's.
+    """
+    if t.alphabet_size != registry.gate_set.n:
         raise UndecodableProgramError(
-            f"tape alphabet {t.alphabet_size} does not match gate set size {parent.gate_set.n}"
+            f"tape alphabet {t.alphabet_size} does not match gate set size {registry.gate_set.n}"
         )
     segments = split_segments(t)
-    names = parent.names
-    if len(segments) != len(names):
+    if len(segments) != len(registry.segments):
         raise UndecodableProgramError(
-            f"tape decodes into {len(segments)} segments, registry names {len(names)}"
+            f"tape decodes into {len(segments)} segments, registry names {len(registry.segments)}"
         )
-    return ProgramRegistry(parent.gate_set, dict(zip(names, segments)))
+    return segments
+
+
+def _encodes(t: Tape, registry: ProgramRegistry) -> bool:
+    """Whether the tape decodes into exactly the registry's segments."""
+    return _decoded_segments(t, registry) == tuple(cells for _, cells in registry.segments)
+
+
+def registry_from_tape(t: Tape, parent: ProgramRegistry) -> ProgramRegistry:
+    """Decode a registry from a tape, naming segments in the parent's order."""
+    return ProgramRegistry(parent.gate_set, dict(zip(parent.names, _decoded_segments(t, parent))))
 
 
 def program_state(registry: ProgramRegistry, name: str) -> StateVector:
@@ -245,16 +259,17 @@ def replicate(parent: Automaton) -> tuple[Automaton, Automaton]:
 
     Step 1 copies the tape cell by cell, certifying each distinct symbol once;
     step 2 translates the child tape with the PARENT's gate set, then decodes
-    the child's own registry from its tape and demands it match the parent's.
+    the child's segments from its tape and demands they match the parent's.
+    The child then carries the parent's registry (immutable, and by that check
+    equal to the one its tape encodes) rather than a rebuilt copy.
     """
     child_tape = replicate_tape(parent.tape)
     child_payload = translate(child_tape, parent.registry)
-    child_registry = registry_from_tape(child_tape, parent.registry)
-    if child_registry.segments != parent.registry.segments:
+    if not _encodes(child_tape, parent.registry):
         raise CorruptedHeredityError(
             "child registry decoded from its tape does not match the parent registry"
         )
-    child = Automaton(child_tape, child_payload, child_registry, parent.generation + 1)
+    child = Automaton(child_tape, child_payload, parent.registry, parent.generation + 1)
     return parent, child
 
 
@@ -347,7 +362,7 @@ def automaton_from_json(obj) -> Automaton:
         raise InputError("automaton.tape: expected a tape text string")
     try:
         payload = translate(t, registry)
-        if registry_from_tape(t, registry).segments != registry.segments:
+        if not _encodes(t, registry):
             raise InputError("automaton: registry segments differ from the ones its tape encodes")
         return Automaton(t, payload, registry, obj.get("generation", 0))
     except (ContractError, UndecodableProgramError) as exc:

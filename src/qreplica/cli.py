@@ -214,13 +214,18 @@ def cmd_approx(args) -> int:
     return 0
 
 
-def _variant_automaton(a: Automaton) -> Automaton:
-    """Same registry, tape differing in one cell: the orthogonality witness."""
-    cells = list(a.tape.cells)
+def _variant_overlap(a: Automaton) -> list[float] | None:
+    """[re, im] of a's overlap with the automaton of the same registry whose
+    tape differs in cell 0: the orthogonality witness. None on a one-symbol
+    alphabet, where no differing tape exists."""
     n = a.tape.alphabet_size
+    if n == 1:
+        return None
+    cells = list(a.tape.cells)
     cells[0] = (cells[0] + 1) % n
     t = Tape(n, tuple(cells), a.tape.head)
-    return Automaton(t, translate(t, a.registry), a.registry, a.generation)
+    overlap = automaton_overlap(a, Automaton(t, translate(t, a.registry), a.registry, a.generation))
+    return [overlap.real, overlap.imag]
 
 
 def cmd_replicate(args) -> int:
@@ -239,9 +244,7 @@ def cmd_replicate(args) -> int:
     lines = [json.dumps(header, sort_keys=True)]
     for _ in range(args.generations):
         parent, child = replicate(current)
-        variant = _variant_automaton(child)
         parent_overlap = automaton_overlap(child, parent)
-        variant_overlap = automaton_overlap(child, variant)
         lines.append(
             json.dumps(
                 {
@@ -250,10 +253,7 @@ def cmd_replicate(args) -> int:
                     "tape_identical": child.tape.cells == parent.tape.cells,
                     "payload_fidelity": fidelity(child.payload, parent.payload),
                     "overlap_with_parent": [parent_overlap.real, parent_overlap.imag],
-                    "overlap_with_one_cell_variant": [
-                        variant_overlap.real,
-                        variant_overlap.imag,
-                    ],
+                    "overlap_with_one_cell_variant": _variant_overlap(child),
                 },
                 sort_keys=True,
             )

@@ -94,7 +94,7 @@ def _check_amplitudes(arr: np.ndarray) -> None:
     # infinite sum needs a scan; if all amplitudes are finite, the norm overflowed.
     if not math.isfinite(sqnorm) and not np.all(np.isfinite(arr)):
         raise ContractError("state amplitudes must be finite")
-    norm = float(np.sqrt(sqnorm))
+    norm = math.sqrt(sqnorm)
     if abs(norm - 1.0) > config.NORM_TOL:
         raise ContractError(f"state norm {norm!r} deviates from 1 beyond NORM_TOL")
 

@@ -154,9 +154,11 @@ def replicate_tape(t: Tape) -> Tape:
     read back out of the certified output rather than taken on trust. The
     cloner is deterministic, so one cloner pass per generation certifies every
     distinct symbol, taken in head-read order, and each cell is filled from
-    its symbol's certified output. Raises ReplicationIntegrityError if a copy
-    fidelity falls below 1 − REPLICATION_TOL, for the first such symbol in
-    head-read order, naming the first cell the head reads it in.
+    its symbol's certified output; when every distinct symbol reads back as
+    itself, the child is built on the parent's own cell tuple. Raises
+    ReplicationIntegrityError if a copy fidelity falls below
+    1 − REPLICATION_TOL, for the first such symbol in head-read order, naming
+    the first cell the head reads it in.
     """
     n, s, head = t.alphabet_size, t.length, t.head
     # Cells in the order the head reads them, starting under the head: cell
@@ -172,7 +174,9 @@ def replicate_tape(t: Tape) -> Tape:
                 "cloner wiring is broken"
             )
     # A certified output peaks at index symbol·n + copy: the copy register is the fast index.
-    copied = (np.abs(np.stack([out.amps for out in outs])).argmax(axis=1) % n).tolist()
+    copied = tuple((np.abs(np.stack([out.amps for out in outs])).argmax(axis=1) % n).tolist())
+    if copied == symbols:
+        return Tape(n, t.cells, head)
     copies = dict(zip(symbols, copied))
     return Tape(n, tuple(map(copies.__getitem__, t.cells)), head)
 

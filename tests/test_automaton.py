@@ -294,8 +294,9 @@ class TestReplicate:
             return Tape(t.alphabet_size, tuple(cells), t.head)
 
         monkeypatch.setattr(qreplica.automaton, "replicate_tape", corrupting)
-        with pytest.raises(CorruptedHeredityError):
+        with pytest.raises(CorruptedHeredityError) as excinfo:
             replicate(a)
+        assert str(excinfo.value) == "child registry decoded from its tape does not match the parent registry"
 
     def test_structure_corruption_is_undecodable(self, monkeypatch):
         """Losing a separator changes the segment count and fails the decode."""
@@ -307,8 +308,21 @@ class TestReplicate:
             return Tape(t.alphabet_size, tuple(cells), t.head)
 
         monkeypatch.setattr(qreplica.automaton, "replicate_tape", corrupting)
-        with pytest.raises(UndecodableProgramError):
+        with pytest.raises(UndecodableProgramError) as excinfo:
             replicate(a)
+        assert str(excinfo.value) == "tape decodes into 2 segments, registry names 3"
+
+    def test_unterminated_corruption_is_undecodable(self, monkeypatch):
+        """Overwriting the last separator leaves the last segment unterminated."""
+        a = demo_automaton(2)
+
+        def corrupting(t):
+            return Tape(t.alphabet_size, t.cells[:-1] + (1,), t.head)
+
+        monkeypatch.setattr(qreplica.automaton, "replicate_tape", corrupting)
+        with pytest.raises(UndecodableProgramError) as excinfo:
+            replicate(a)
+        assert str(excinfo.value) == "tape does not end on a separator; trailing segment is unterminated"
 
 
 @st.composite
@@ -333,7 +347,9 @@ def test_replication_preserves_heredity(registry_and_head, generation):
     parent, child = replicate(start)
     assert parent is start
     assert child.tape == parent.tape
-    assert child.registry.segments == parent.registry.segments
+    # The child carries the parent's registry, which its own tape encodes.
+    assert child.registry is parent.registry
+    assert child.registry.segments == registry_from_tape(child.tape, parent.registry).segments
     assert child.generation == parent.generation + 1
     assert child.payload.amps.tobytes() == parent.payload.amps.tobytes()
 
@@ -427,8 +443,9 @@ class TestAutomatonJson:
         """Else replicating it would report corrupted heredity for a bad document."""
         data = automaton_to_json(demo_automaton(2))
         data["registry"]["segments"]["D"] = [1]
-        with pytest.raises(InputError, match="segments differ from the ones its tape encodes"):
+        with pytest.raises(InputError) as excinfo:
             automaton_from_json(data)
+        assert str(excinfo.value) == "automaton: registry segments differ from the ones its tape encodes"
 
     def test_identity_alias_unused_gate_set_dim(self):
         """Registry JSON keeps gate dims; a reloaded automaton translates alike."""

@@ -320,6 +320,20 @@ class TestReplicate:
             assert row["payload_fidelity"] >= 1.0 - 1e-8
             assert row["overlap_with_one_cell_variant"] == [0.0, 0.0]
 
+    @pytest.mark.parametrize(
+        "n, tape, segments, variant",
+        [(1, "n=1;cells=0;head=0", {"a": []}, None), (2, "n=2;cells=1,0;head=0", {"a": [1]}, [0.0, 0.0])],
+    )
+    def test_one_cell_variant_exists_only_beyond_one_symbol(self, tmp_path, capsys, n, tape, segments, variant):
+        """A one-symbol alphabet has no tape differing in a cell, so the field is null there."""
+        gates = GateSet(tuple(identity(2) for _ in range(n)))
+        automaton = {"tape": tape, "registry": {"gate_set": gate_set_to_json(gates), "segments": segments}}
+        path = tmp_path / "automaton.json"
+        path.write_text(json.dumps(automaton))
+        code, lines = run_json_lines(capsys, ["replicate", "--automaton", str(path), "--generations", "2"])
+        assert code == 0
+        assert [row["overlap_with_one_cell_variant"] for row in lines[1:]] == [variant, variant]
+
     def test_report_file(self, tmp_path, capsys, automaton_file):
         out = tmp_path / "report.jsonl"
         code = cli.main(

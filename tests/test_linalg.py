@@ -150,6 +150,24 @@ def test_state_check_matches_the_two_scan_form(seed, dim, scale, injected):
     assert _outcome(_state_with_amps, amps.copy()) == (result, [])
 
 
+@given(
+    parts=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=32),
+    scale=st.floats(0.5, 2.0),
+)
+def test_norm_error_reports_the_numpy_root(parts, scale):
+    """The reported norm has the bits of numpy's root of the squared norm."""
+    z = np.array([complex(*p) for p in parts])
+    length = np.linalg.norm(z)
+    assume(length > 1e-100)
+    amps = z / length * scale
+    re, im = amps.real, amps.imag
+    norm = float(np.sqrt(re.dot(re) + im.dot(im)))
+    assume(0.5 <= norm <= 2.0 and abs(norm - 1.0) > 1e-6)
+    with pytest.raises(ContractError) as excinfo:
+        StateVector(amps)
+    assert str(excinfo.value) == f"state norm {norm!r} deviates from 1 beyond NORM_TOL"
+
+
 def _outcome(check, amps):
     """What a check does with amps: its exception or accepted bytes, and its warnings."""
     with warnings.catch_warnings(record=True) as caught:

@@ -345,6 +345,26 @@ class TestReplicateTape:
             child = replicate_tape(Tape(3, (2, 1, 0, 1), head=1))
         assert child == Tape(3, (0, 2, 1, 2), head=1)
 
+    @pytest.mark.parametrize("i, j", list(itertools.combinations(range(4), 2)))
+    def test_swapped_readback_is_remapped(self, monkeypatch, i, j):
+        """The outputs of the i-th and j-th certified symbols trade places, with their
+        true fidelities: the child holds that readback, the two symbols swapped."""
+        swapped = []
+
+        def swapping(states):
+            outs, fidelities = copy_onto_blank(states)
+            outs = list(outs)
+            outs[i], outs[j] = outs[j], outs[i]
+            swapped.extend(int(np.argmax(np.abs(states[k].amps))) for k in (i, j))
+            return tuple(outs), fidelities
+
+        monkeypatch.setattr(qreplica.tape, "copy_onto_blank", swapping)
+        parent = Tape(4, (3, 0, 1, 2, 1, 3), head=2)
+        child = replicate_tape(parent)
+        a, b = swapped
+        swap = {a: b, b: a}
+        assert child == Tape(4, tuple(swap.get(c, c) for c in parent.cells), head=2)
+
     def test_each_distinct_symbol_is_certified_once(self):
         cells = tuple(int(c) for c in np.random.default_rng(5).integers(0, 4, 240))
         parent = Tape(4, cells, head=17)
