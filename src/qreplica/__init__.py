@@ -17,7 +17,6 @@ from .automaton import (
     demo_registry,
     encode_tape,
     program_state,
-    registry_from_tape,
     replicate,
     scattering_apply,
     translate,

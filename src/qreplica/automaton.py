@@ -7,12 +7,15 @@ the replication cycle copy tapes without violating the no-copying bound for
 general states.
 
 The replication cycle has two steps: (1) copy the tape cell by cell with the
-basis cloner, certifying each distinct symbol's copy once; (2) rebuild the
-payload by running the child's tape through the parent's gate set on a blank
-register. The child's segments are then decoded from its tape and checked
-against the parent's, so heredity is a checked outcome rather than an
-implementation shortcut; only then does the child carry the parent's
-registry, which that check has shown equal to the one its tape encodes.
+basis cloner, certifying every distinct symbol's copy in one batch; (2)
+rebuild the payload by running the child's tape through the parent's gate
+set on a blank register. The child's tape is then checked against the
+parent's registry, so heredity is a checked outcome rather than an
+implementation shortcut: its cells must equal the registry's layout (each
+segment followed by one separator, built once per registry), and a tape
+that does not is decoded in full to say why. Only then does the child carry
+the parent's registry, which that check has shown equal to the one its tape
+encodes.
 
 Program segments are laid out on the tape as symbol runs over {1, …, n−1},
 each terminated by one separator cell (symbol 0), making the layout
@@ -24,7 +27,7 @@ is the simulator itself (``scattering_apply``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -55,6 +58,7 @@ class ProgramRegistry:
 
     gate_set: GateSet
     segments: tuple[tuple[str, tuple[int, ...]], ...]
+    _layout: tuple[int, ...] = field(init=False, repr=False)
 
     def __init__(self, gate_set: GateSet, segments: Mapping[str, Sequence[int]]):
         object.__setattr__(self, "gate_set", gate_set)
@@ -79,6 +83,9 @@ class ProgramRegistry:
                             f"[1, {n - 1}] (0 is the separator)"
                         )
         object.__setattr__(self, "segments", normalized)
+        # The cells encode_tape lays out: each segment followed by one separator.
+        layout = tuple(itertools.chain.from_iterable((*cells, SEPARATOR) for _, cells in normalized))
+        object.__setattr__(self, "_layout", layout)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -93,13 +100,9 @@ class ProgramRegistry:
 
 def encode_tape(registry: ProgramRegistry, head: int = 0) -> Tape:
     """Lay the registry's segments onto one tape, each followed by a separator."""
-    cells: list[int] = []
-    for _, segment in registry.segments:
-        cells.extend(segment)
-        cells.append(SEPARATOR)
-    if not cells:
+    if not registry._layout:
         raise ContractError("cannot encode an empty registry onto a tape")
-    return Tape(registry.gate_set.n, tuple(cells), head)
+    return Tape(registry.gate_set.n, registry._layout, head)
 
 
 def split_segments(t: Tape) -> tuple[tuple[int, ...], ...]:
@@ -121,32 +124,27 @@ def split_segments(t: Tape) -> tuple[tuple[int, ...], ...]:
     return tuple(segments)
 
 
-def _decoded_segments(t: Tape, registry: ProgramRegistry) -> tuple[tuple[int, ...], ...]:
-    """The tape's segments, one for each of the registry's names, in its order.
+def _encodes(t: Tape, registry: ProgramRegistry) -> bool:
+    """Whether the tape decodes into exactly the registry's segments.
 
-    Raises UndecodableProgramError when the alphabets differ, the last segment
-    is unterminated or the segment count is not the registry's.
+    With matching alphabets, it does exactly when its cells are the
+    registry's layout: segments hold no separator and each ends in one, so no
+    other cells decode into them. Any other tape goes through the decoder,
+    which raises UndecodableProgramError when the alphabets differ, the last
+    segment is unterminated or the segment count is not the registry's.
     """
     if t.alphabet_size != registry.gate_set.n:
         raise UndecodableProgramError(
             f"tape alphabet {t.alphabet_size} does not match gate set size {registry.gate_set.n}"
         )
+    if t.cells == registry._layout:
+        return True
     segments = split_segments(t)
     if len(segments) != len(registry.segments):
         raise UndecodableProgramError(
             f"tape decodes into {len(segments)} segments, registry names {len(registry.segments)}"
         )
-    return segments
-
-
-def _encodes(t: Tape, registry: ProgramRegistry) -> bool:
-    """Whether the tape decodes into exactly the registry's segments."""
-    return _decoded_segments(t, registry) == tuple(cells for _, cells in registry.segments)
-
-
-def registry_from_tape(t: Tape, parent: ProgramRegistry) -> ProgramRegistry:
-    """Decode a registry from a tape, naming segments in the parent's order."""
-    return ProgramRegistry(parent.gate_set, dict(zip(parent.names, _decoded_segments(t, parent))))
+    return segments == tuple(cells for _, cells in registry.segments)
 
 
 def program_state(registry: ProgramRegistry, name: str) -> StateVector:
@@ -258,9 +256,9 @@ def replicate(parent: Automaton) -> tuple[Automaton, Automaton]:
     """One full replication cycle; returns (parent, child).
 
     Step 1 copies the tape cell by cell, certifying each distinct symbol once;
-    step 2 translates the child tape with the PARENT's gate set, then decodes
-    the child's segments from its tape and demands they match the parent's.
-    The child then carries the parent's registry (immutable, and by that check
+    step 2 translates the child tape with the PARENT's gate set, then demands
+    that the child's tape encode the parent's segments (``_encodes``). The
+    child then carries the parent's registry (immutable, and by that check
     equal to the one its tape encodes) rather than a rebuilt copy.
     """
     child_tape = replicate_tape(parent.tape)

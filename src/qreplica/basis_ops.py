@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, InputError
-from .linalg import Operator, StateVector, _check_capacity, _check_unitary_family, _integer, _operator_with_residual
-from .linalg import _state_with_amps, apply, basis_state, operator_from_json, operator_to_json
+from .linalg import Operator, StateVector, _check_amplitudes, _check_capacity, _check_unitary_family, _integer
+from .linalg import _operator_with_residual, _state_with_amps, apply, basis_state, operator_from_json, operator_to_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,12 +122,8 @@ def copy_onto_blank(states: Sequence[StateVector]) -> tuple[tuple[StateVector, .
 
     Returns the outputs and each one's fidelity to psi ⊗ psi, in input order.
     The fidelity is 1 on basis states and falls short on superposed ones. The
-    states must share one dimension n. The n²-amplitude joint input and then
-    the cloner's 2·n³ amplitudes are checked against the amplitude budget, so
-    an oversized register is refused before any cloner is built. Every output
-    row passes the unit-norm check of a state, and each fidelity is
-    |⟨out|psi ⊗ psi⟩|² of that row alone, bit for bit what a one-state batch
-    gives.
+    states must share one dimension n; the check itself is ``_copy_rows`` on
+    their stacked amplitudes.
     """
     states = tuple(states)
     if not states:
@@ -136,18 +132,35 @@ def copy_onto_blank(states: Sequence[StateVector]) -> tuple[tuple[StateVector, .
     for psi in states:
         if psi.dim != n:
             raise ContractError(f"state dims differ: {n} vs {psi.dim}")
+    rows, fidelities = _copy_rows(np.stack([psi.amps for psi in states]))
+    return tuple(_state_with_amps(row) for row in rows), fidelities
+
+
+def _copy_rows(amps: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The copy check on a (k, n) complex batch, one input state per row.
+
+    Returns the cloner's (k, n²) outputs on each row ⊗ |0⟩, frozen, and each
+    output row's fidelity to row ⊗ row. The n²-amplitude joint input and then
+    the cloner's 2·n³ amplitudes are checked against the amplitude budget, so
+    an oversized register is refused before any cloner is built. Every output
+    row passes the unit-norm check of a state, and each fidelity is
+    |⟨out|psi ⊗ psi⟩|² of that row alone, bit for bit what a one-row batch
+    gives.
+    """
+    k, n = amps.shape
     blank = basis_state(n, 0).amps
     _check_capacity(n * n, "tensor product state")
     _check_capacity(2 * n**3, "basis cloner")
     c = cloner(n)
     _check_joint_dim(c, n * n)
-    amps = np.stack([psi.amps for psi in states])
-    # The same elementwise products tensor_state makes, one (n, n) slab per state.
+    # The same elementwise products tensor_state makes, one (n, n) slab per row.
     joint = np.multiply(amps[:, :, None], blank[None, None, :])
-    rows = np.einsum("lij,klj->kli", c._stack, joint).reshape(len(states), n * n)
-    perfect = np.multiply(amps[:, :, None], amps[:, None, :]).reshape(len(states), n * n)
-    outs = tuple(_state_with_amps(row) for row in rows)
-    return outs, tuple(float(abs(np.vdot(row, want)) ** 2) for row, want in zip(rows, perfect))
+    rows = np.einsum("lij,klj->kli", c._stack, joint).reshape(k, n * n)
+    perfect = np.multiply(amps[:, :, None], amps[:, None, :]).reshape(k, n * n)
+    for row in rows:
+        _check_amplitudes(row)
+    rows.setflags(write=False)
+    return rows, tuple(float(abs(np.vdot(row, want)) ** 2) for row, want in zip(rows, perfect))
 
 
 def densify(c: ControlledOperator) -> Operator:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .basis_ops import copy_onto_blank
+from .basis_ops import _copy_rows
 from .errors import ContractError, InputError, ReplicationIntegrityError
 from .linalg import StateVector, _check_capacity, _check_unitary_family, _integer, _plain_ints_within, _state_with_amps
 from .linalg import apply_sequence, basis_state
@@ -152,20 +152,26 @@ def replicate_tape(t: Tape) -> Tape:
     A symbol is copied by applying the basis cloner to (symbol, blank) and
     checking the result against the perfect copy; the child's symbol is then
     read back out of the certified output rather than taken on trust. The
-    cloner is deterministic, so one cloner pass per generation certifies every
-    distinct symbol, taken in head-read order, and each cell is filled from
-    its symbol's certified output; when every distinct symbol reads back as
-    itself, the child is built on the parent's own cell tuple. Raises
-    ReplicationIntegrityError if a copy fidelity falls below
-    1 − REPLICATION_TOL, for the first such symbol in head-read order, naming
-    the first cell the head reads it in.
+    cloner is deterministic, so one copy check per generation certifies every
+    distinct symbol: the distinct symbols, taken in head-read order, are the
+    rows of one identity batch, and one argmax over the output rows reads
+    every copy back. Each cell is filled from its symbol's certified copy;
+    when every distinct symbol reads back as itself, the child is the
+    parent's own cells, alphabet and head, which the parent's construction
+    has already checked. Raises ReplicationIntegrityError if a copy fidelity
+    falls below 1 − REPLICATION_TOL, for the first such symbol in head-read
+    order, naming the first cell the head reads it in.
     """
     n, s, head = t.alphabet_size, t.length, t.head
     # Cells in the order the head reads them, starting under the head: cell
     # s − 1 − head down to cell 0, then from cell s − 1 round to s − head.
     read = t.cells[s - head - 1 :: -1] + t.cells[: s - head - 1 : -1]
     symbols = tuple(dict.fromkeys(read))
-    outs, fidelities = copy_onto_blank([basis_state(n, symbol) for symbol in symbols])
+    # Row k is the basis state |symbols[k]⟩; as basis_state does, refuse an n over budget before allocating.
+    _check_capacity(n, "basis state")
+    batch = np.zeros((len(symbols), n), dtype=complex)
+    batch[range(len(symbols)), symbols] = 1.0
+    rows, fidelities = _copy_rows(batch)
     for symbol, achieved in zip(symbols, fidelities):
         if achieved < 1.0 - config.REPLICATION_TOL:
             pos = s - 1 - (head + read.index(symbol)) % s
@@ -174,11 +180,20 @@ def replicate_tape(t: Tape) -> Tape:
                 "cloner wiring is broken"
             )
     # A certified output peaks at index symbol·n + copy: the copy register is the fast index.
-    copied = tuple((np.abs(np.stack([out.amps for out in outs])).argmax(axis=1) % n).tolist())
+    copied = tuple((np.abs(rows).argmax(axis=1) % n).tolist())
     if copied == symbols:
-        return Tape(n, t.cells, head)
+        return _checked_tape(n, t.cells, head)
     copies = dict(zip(symbols, copied))
     return Tape(n, tuple(map(copies.__getitem__, t.cells)), head)
+
+
+def _checked_tape(n: int, cells: tuple[int, ...], head: int) -> Tape:
+    """Tape on fields another Tape's construction has already checked: not rescanned."""
+    t = object.__new__(Tape)
+    object.__setattr__(t, "alphabet_size", n)
+    object.__setattr__(t, "cells", cells)
+    object.__setattr__(t, "head", head)
+    return t
 
 
 # -- text and JSON forms ------------------------------------------------------

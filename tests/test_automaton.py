@@ -22,7 +22,6 @@ from qreplica.automaton import (
     demo_registry,
     encode_tape,
     program_state,
-    registry_from_tape,
     replicate,
     scattering_apply,
     split_segments,
@@ -33,6 +32,7 @@ from qreplica.errors import (
     ContractError,
     CorruptedHeredityError,
     InputError,
+    QReplicaError,
     UndecodableProgramError,
 )
 from qreplica.linalg import (
@@ -44,6 +44,40 @@ from qreplica.linalg import (
     random_unitary,
 )
 from qreplica.tape import Tape, format_tape, run_tape, tape_to_state
+
+
+def registry_from_tape(t, parent):
+    """Decode a registry from a tape, naming segments in the parent's order.
+
+    The independent decoding oracle: it cuts the cells at each separator by
+    itself and raises the package's UndecodableProgramError messages.
+    """
+    if t.alphabet_size != parent.gate_set.n:
+        raise UndecodableProgramError(
+            f"tape alphabet {t.alphabet_size} does not match gate set size {parent.gate_set.n}"
+        )
+    if t.cells[-1] != 0:
+        raise UndecodableProgramError("tape does not end on a separator; trailing segment is unterminated")
+    segments, current = [], []
+    for c in t.cells:
+        if c == 0:
+            segments.append(current)
+            current = []
+        else:
+            current.append(c)
+    if len(segments) != len(parent.segments):
+        raise UndecodableProgramError(
+            f"tape decodes into {len(segments)} segments, registry names {len(parent.segments)}"
+        )
+    return ProgramRegistry(parent.gate_set, dict(zip(parent.names, segments)))
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the package error it raised."""
+    try:
+        return fn(*args)
+    except QReplicaError as exc:
+        return type(exc), str(exc)
 
 
 def diagonal_gate_set():
@@ -352,6 +386,43 @@ def test_replication_preserves_heredity(registry_and_head, generation):
     assert child.registry.segments == registry_from_tape(child.tape, parent.registry).segments
     assert child.generation == parent.generation + 1
     assert child.payload.amps.tobytes() == parent.payload.amps.tobytes()
+
+
+@st.composite
+def tapes_near_the_layout(draw):
+    """A registry and its encoded tape, or that tape with one cell changed, a
+    separator added or removed, its tail cut off, or its alphabet enlarged."""
+    registry, head = draw(registries_and_heads())
+    n = registry.gate_set.n
+    cells = list(encode_tape(registry).cells)
+    kind = draw(st.sampled_from(["encoded", "changed", "separator added", "separator removed", "truncated", "alphabet"]))
+    pos = draw(st.integers(0, len(cells) - 1))
+    if kind == "changed":
+        cells[pos] = (cells[pos] + draw(st.integers(1, n - 1))) % n
+    elif kind == "separator added":
+        cells.insert(pos, 0)
+    elif kind == "separator removed" and len(cells) > 1:
+        del cells[draw(st.sampled_from([k for k, c in enumerate(cells) if c == 0]))]
+    elif kind == "truncated" and len(cells) > 1:
+        cells = cells[: max(pos, 1)]
+    return registry, Tape(n + (kind == "alphabet"), tuple(cells), head % len(cells))
+
+
+@given(tapes_near_the_layout())
+def test_layout_comparison_agrees_with_the_full_decoder(case):
+    """The same bool, or the same error type and message, as decoding the tape in full."""
+    registry, t = case
+    decoded = _outcome(lambda: registry_from_tape(t, registry).segments == registry.segments)
+    assert _outcome(qreplica.automaton._encodes, t, registry) == decoded
+
+
+def test_an_encoded_tape_is_accepted_without_decoding(monkeypatch):
+    def undecodable(t):
+        raise AssertionError("the tape was decoded")
+
+    monkeypatch.setattr(qreplica.automaton, "split_segments", undecodable)
+    parent, child = replicate(demo_automaton(3))
+    assert child.tape == parent.tape
 
 
 @given(registries_and_heads(), st.integers(0, 2**32 - 1))

@@ -5,6 +5,8 @@ from the package's own densify path, so the two routes stay independent.
 """
 
 import json
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +27,9 @@ from qreplica.basis_ops import (
     densify,
     shift_power,
 )
+from qreplica.basis_ops import _check_joint_dim, _copy_rows
 from qreplica.errors import CapacityError, ContractError, InputError
+from qreplica.linalg import _check_capacity, _state_with_amps
 from qreplica.linalg import (
     Operator,
     StateVector,
@@ -181,6 +185,55 @@ def copy_batches(draw):
     return [pool[i] for i in picks]
 
 
+def reference_copy_onto_blank(states):
+    """The copy check written as one function over a list of states: the oracle
+    of copy_onto_blank and the batch core under it."""
+    states = tuple(states)
+    if not states:
+        raise ContractError("copy_onto_blank needs at least one state")
+    n = states[0].dim
+    for psi in states:
+        if psi.dim != n:
+            raise ContractError(f"state dims differ: {n} vs {psi.dim}")
+    blank = basis_state(n, 0).amps
+    _check_capacity(n * n, "tensor product state")
+    _check_capacity(2 * n**3, "basis cloner")
+    c = cloner(n)
+    _check_joint_dim(c, n * n)
+    amps = np.stack([psi.amps for psi in states])
+    joint = np.multiply(amps[:, :, None], blank[None, None, :])
+    rows = np.einsum("lij,klj->kli", c._stack, joint).reshape(len(states), n * n)
+    perfect = np.multiply(amps[:, :, None], amps[:, None, :]).reshape(len(states), n * n)
+    outs = tuple(_state_with_amps(row) for row in rows)
+    return outs, tuple(float(abs(np.vdot(row, want)) ** 2) for row, want in zip(rows, perfect))
+
+
+@st.composite
+def budgeted_copy_batches(draw):
+    """n in 1..6, then 1 to n basis or Haar states, and an amplitude budget:
+    the default, or one on either side of each of the n, n² and 2·n³ checks."""
+    n = draw(st.integers(1, 6))
+    kinds = st.one_of(
+        st.builds(lambda k: basis_state(n, k), st.integers(0, n - 1)),
+        st.builds(lambda seed: random_state(n, np.random.default_rng(seed)), st.integers(0, 2**32 - 1)),
+    )
+    states = draw(st.lists(kinds, min_size=1, max_size=n))
+    edges = [size + step for size in (n, n * n, 2 * n**3) for step in (-1, 0) if size + step >= 1]
+    return states, draw(st.none() | st.sampled_from(edges))
+
+
+def _copy_outcome(copy, states):
+    """The outputs' bytes and flags and the fidelities' bits, or the error raised."""
+    try:
+        outs, fidelities = copy(states)
+    except ContractError as exc:
+        return type(exc), str(exc)
+    return (
+        [(out.amps.tobytes(), out.amps.flags.writeable) for out in outs],
+        [(type(f), np.float64(f).tobytes()) for f in fidelities],
+    )
+
+
 class TestCopyOntoBlank:
     @given(states=copy_batches())
     def test_batch_matches_the_one_state_path_byte_for_byte(self, states):
@@ -192,6 +245,25 @@ class TestCopyOntoBlank:
             assert np.float64(achieved).tobytes() == np.float64(ref_fidelity).tobytes()
             assert type(achieved) is float
             assert not out.amps.flags.writeable
+
+    @given(budgeted_copy_batches())
+    def test_matches_the_one_function_oracle_under_any_budget(self, case):
+        """The same output bytes and fidelities, or the same first CapacityError."""
+        states, limit = case
+        env = {} if limit is None else {config.ENV_MAX_DIM: str(limit)}
+        with mock.patch.dict(os.environ, env):
+            got = _copy_outcome(copy_onto_blank, states)
+            assert got == _copy_outcome(reference_copy_onto_blank, states)
+        if limit is not None and limit < 2 * states[0].dim ** 3:
+            assert got[0] is CapacityError
+
+    @pytest.mark.parametrize("bad, message", [(2.0, "state norm 2.0 deviates"), (np.nan, "must be finite")])
+    def test_core_checks_every_output_row(self, bad, message):
+        """A batch row that is no state gives an output row that is none either."""
+        batch = np.eye(3, dtype=complex)
+        batch[2, 2] = bad
+        with pytest.raises(ContractError, match=message):
+            _copy_rows(batch)
 
     def test_refuses_an_empty_or_mixed_batch(self):
         with pytest.raises(ContractError, match="at least one state"):

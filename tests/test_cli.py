@@ -334,6 +334,29 @@ class TestReplicate:
         assert code == 0
         assert [row["overlap_with_one_cell_variant"] for row in lines[1:]] == [variant, variant]
 
+    @pytest.mark.parametrize(
+        "golden, n, tape, segments",
+        [
+            ("replicate_240_head17", None, None, None),
+            ("replicate_n1", 1, "n=1;cells=0;head=0", {"a": []}),
+            ("replicate_n2", 2, "n=2;cells=1,0;head=0", {"a": [1]}),
+        ],
+    )
+    def test_report_matches_golden_bytes(self, tmp_path, monkeypatch, golden, n, tape, segments):
+        """Three generations write the checked-in report byte for byte: a 240-cell,
+        head-17 tape over demo_registry(3)'s gates, and the n = 1 and n = 2 variant cases."""
+        monkeypatch.delenv(config.ENV_MAX_DIM, raising=False)
+        data = Path(__file__).parent / "data"
+        if tape is None:
+            path = data / f"{golden}_automaton.json"
+        else:
+            gates = GateSet(tuple(identity(2) for _ in range(n)))
+            path = tmp_path / "automaton.json"
+            path.write_text(json.dumps({"tape": tape, "registry": {"gate_set": gate_set_to_json(gates), "segments": segments}}))
+        out = tmp_path / "report.jsonl"
+        assert cli.main(["replicate", "--automaton", str(path), "--generations", "3", "--output", str(out)]) == 0
+        assert out.read_bytes() == (data / f"{golden}.jsonl").read_bytes()
+
     def test_report_file(self, tmp_path, capsys, automaton_file):
         out = tmp_path / "report.jsonl"
         code = cli.main(

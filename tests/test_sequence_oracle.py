@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import qreplica.tape as tape_module
 from qreplica.approx import GateSet, product_operator, sequence_unitary
 from qreplica.automaton import ProgramRegistry, scattering_apply, translate
-from qreplica.basis_ops import copy_onto_blank
+from qreplica.basis_ops import _copy_rows
 from qreplica.linalg import Operator, apply, apply_sequence, basis_state, random_state, random_unitary
 from qreplica.tape import Tape, replicate_tape, run_tape, tape_to_state
 from qreplica.verify import _exhaustive_best_distance
@@ -129,9 +129,9 @@ def test_kernel_callers_match_the_step_by_step_forms(seed, n, dim, length, head)
     drift = np.abs(sequence_unitary(t, g).entries - reference_sequence_unitary(t, g))
     assert float(np.max(drift)) <= 1e-13
 
-    with mock.patch.object(tape_module, "copy_onto_blank", wraps=copy_onto_blank) as spy:
+    with mock.patch.object(tape_module, "_copy_rows", wraps=_copy_rows) as spy:
         child = replicate_tape(headed)
-    certified = [int(np.argmax(np.abs(psi.amps))) for call in spy.call_args_list for psi in call.args[0]]
+    certified = [int(np.argmax(np.abs(row))) for call in spy.call_args_list for row in call.args[0]]
     # Each distinct symbol is certified once, at its first cell in head-read order.
     assert certified == list(dict.fromkeys(cells[pos] for pos in reference_head_order(headed)))
     assert child == headed

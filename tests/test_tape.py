@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import qreplica.basis_ops
 import qreplica.tape
 from qreplica import config
-from qreplica.basis_ops import conditional_dynamics, copy_onto_blank, shift_power
+from qreplica.basis_ops import _copy_rows, conditional_dynamics, shift_power
 from qreplica.errors import CapacityError, ContractError, InputError, ReplicationIntegrityError
 from qreplica.linalg import (
     Operator,
@@ -347,32 +347,75 @@ class TestReplicateTape:
 
     @pytest.mark.parametrize("i, j", list(itertools.combinations(range(4), 2)))
     def test_swapped_readback_is_remapped(self, monkeypatch, i, j):
-        """The outputs of the i-th and j-th certified symbols trade places, with their
-        true fidelities: the child holds that readback, the two symbols swapped."""
+        """The output rows of the i-th and j-th certified symbols trade places, with
+        their true fidelities: the child holds that readback, the two symbols swapped."""
         swapped = []
 
-        def swapping(states):
-            outs, fidelities = copy_onto_blank(states)
-            outs = list(outs)
-            outs[i], outs[j] = outs[j], outs[i]
-            swapped.extend(int(np.argmax(np.abs(states[k].amps))) for k in (i, j))
-            return tuple(outs), fidelities
+        def swapping(batch):
+            rows, fidelities = _copy_rows(batch)
+            rows = rows.copy()
+            rows[[i, j]] = rows[[j, i]]
+            swapped.extend(int(np.argmax(np.abs(batch[k]))) for k in (i, j))
+            return rows, fidelities
 
-        monkeypatch.setattr(qreplica.tape, "copy_onto_blank", swapping)
+        monkeypatch.setattr(qreplica.tape, "_copy_rows", swapping)
         parent = Tape(4, (3, 0, 1, 2, 1, 3), head=2)
         child = replicate_tape(parent)
         a, b = swapped
         swap = {a: b, b: a}
         assert child == Tape(4, tuple(swap.get(c, c) for c in parent.cells), head=2)
 
+    @pytest.mark.parametrize("i", range(4))
+    def test_one_wrong_readback_is_remapped(self, monkeypatch, i):
+        """The i-th certified symbol's output row is replaced by the next symbol's: the
+        child holds that next symbol wherever the parent holds the i-th."""
+        read = []
+
+        def misreading(batch):
+            rows, fidelities = _copy_rows(batch)
+            rows = rows.copy()
+            rows[i] = rows[(i + 1) % len(rows)]
+            read.extend(int(np.argmax(np.abs(batch[k]))) for k in (i, (i + 1) % len(rows)))
+            return rows, fidelities
+
+        monkeypatch.setattr(qreplica.tape, "_copy_rows", misreading)
+        parent = Tape(4, (3, 0, 1, 2, 1, 3), head=2)
+        child = replicate_tape(parent)
+        wrong, shown = read
+        assert child == Tape(4, tuple(shown if c == wrong else c for c in parent.cells), head=2)
+
+    @pytest.mark.parametrize(
+        "limit, n, message",
+        [
+            ("2", 3, "basis state needs 3 amplitudes, exceeding MAX_DIM=2"),
+            ("8", 3, "tensor product state needs 9 amplitudes, exceeding MAX_DIM=8"),
+            ("53", 3, "basis cloner needs 54 amplitudes, exceeding MAX_DIM=53"),
+            (None, 2**62, "basis state needs 4611686018427387904 amplitudes, exceeding MAX_DIM=1048576"),
+        ],
+    )
+    def test_budget_refuses_the_first_oversized_construction(self, monkeypatch, limit, n, message):
+        """In the order the copy check builds them; an alphabet far over budget is
+        refused before any input batch is allocated."""
+        if limit is None:
+            monkeypatch.delenv(config.ENV_MAX_DIM, raising=False)
+        else:
+            monkeypatch.setenv(config.ENV_MAX_DIM, limit)
+        with pytest.raises(CapacityError) as excinfo:
+            replicate_tape(Tape(n, (2, 1, 0), head=1))
+        assert str(excinfo.value) == message
+
     def test_each_distinct_symbol_is_certified_once(self):
+        """One copy check, whose batch rows are the basis states of the distinct symbols."""
         cells = tuple(int(c) for c in np.random.default_rng(5).integers(0, 4, 240))
         parent = Tape(4, cells, head=17)
-        with mock.patch.object(qreplica.tape, "copy_onto_blank", wraps=copy_onto_blank) as spy:
+        with mock.patch.object(qreplica.tape, "_copy_rows", wraps=_copy_rows) as spy:
             child = replicate_tape(parent)
         assert child == parent
         assert spy.call_count == 1
-        assert len(spy.call_args.args[0]) == len(set(cells)) <= 4
+        (batch,) = spy.call_args.args
+        symbols = np.abs(batch).argmax(axis=1)
+        assert sorted(symbols.tolist()) == sorted(set(cells))
+        assert batch.tobytes() == np.eye(4, dtype=complex)[symbols].tobytes()
 
 
 class TestTextAndJson:
