@@ -129,9 +129,10 @@ def _encodes(t: Tape, registry: ProgramRegistry) -> bool:
 
     With matching alphabets, it does exactly when its cells are the
     registry's layout: segments hold no separator and each ends in one, so no
-    other cells decode into them. Any other tape goes through the decoder,
-    which raises UndecodableProgramError when the alphabets differ, the last
-    segment is unterminated or the segment count is not the registry's.
+    other cells decode into them. Any other tape is refused; the decoder runs
+    on it only to classify the refusal, raising UndecodableProgramError when
+    the alphabets differ, the last segment is unterminated or the segment
+    count is not the registry's, and giving False otherwise.
     """
     if t.alphabet_size != registry.gate_set.n:
         raise UndecodableProgramError(
@@ -144,7 +145,7 @@ def _encodes(t: Tape, registry: ProgramRegistry) -> bool:
         raise UndecodableProgramError(
             f"tape decodes into {len(segments)} segments, registry names {len(registry.segments)}"
         )
-    return segments == tuple(cells for _, cells in registry.segments)
+    return False
 
 
 def program_state(registry: ProgramRegistry, name: str) -> StateVector:

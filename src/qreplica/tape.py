@@ -156,11 +156,11 @@ def replicate_tape(t: Tape) -> Tape:
     distinct symbol: the distinct symbols, taken in head-read order, are the
     rows of one identity batch, and one argmax over the output rows reads
     every copy back. Each cell is filled from its symbol's certified copy;
-    when every distinct symbol reads back as itself, the child is the
-    parent's own cells, alphabet and head, which the parent's construction
-    has already checked. Raises ReplicationIntegrityError if a copy fidelity
-    falls below 1 − REPLICATION_TOL, for the first such symbol in head-read
-    order, naming the first cell the head reads it in.
+    when every distinct symbol reads back as itself, that child equals the
+    parent, and the (immutable) parent tape is returned as the child. Raises
+    ReplicationIntegrityError if a copy fidelity falls below
+    1 − REPLICATION_TOL, for the first such symbol in head-read order, naming
+    the first cell the head reads it in.
     """
     n, s, head = t.alphabet_size, t.length, t.head
     # Cells in the order the head reads them, starting under the head: cell
@@ -182,18 +182,9 @@ def replicate_tape(t: Tape) -> Tape:
     # A certified output peaks at index symbol·n + copy: the copy register is the fast index.
     copied = tuple((np.abs(rows).argmax(axis=1) % n).tolist())
     if copied == symbols:
-        return _checked_tape(n, t.cells, head)
+        return t
     copies = dict(zip(symbols, copied))
     return Tape(n, tuple(map(copies.__getitem__, t.cells)), head)
-
-
-def _checked_tape(n: int, cells: tuple[int, ...], head: int) -> Tape:
-    """Tape on fields another Tape's construction has already checked: not rescanned."""
-    t = object.__new__(Tape)
-    object.__setattr__(t, "alphabet_size", n)
-    object.__setattr__(t, "cells", cells)
-    object.__setattr__(t, "head", head)
-    return t
 
 
 # -- text and JSON forms ------------------------------------------------------

@@ -175,13 +175,14 @@ class TestTapeLayout:
 
     def test_decode_matches_names_in_order(self):
         reg = demo_registry(2)
-        decoded = registry_from_tape(encode_tape(reg), reg)
-        assert decoded.segments == reg.segments
+        assert qreplica.automaton._encodes(encode_tape(reg), reg)
+        # The same three segments with the first two swapped name other cells.
+        assert not qreplica.automaton._encodes(Tape(4, (2, 0, 1, 0, 3, 1, 0)), reg)
 
     def test_decode_segment_count_mismatch(self):
         reg = demo_registry(2)
-        with pytest.raises(UndecodableProgramError, match="segments"):
-            registry_from_tape(Tape(4, (1, 0)), reg)
+        with pytest.raises(UndecodableProgramError, match="^tape decodes into 1 segments, registry names 3$"):
+            qreplica.automaton._encodes(Tape(4, (1, 0)), reg)
 
 
 class TestTranslate:
