@@ -13,9 +13,10 @@ set on a blank register. The child's tape is then checked against the
 parent's registry, so heredity is a checked outcome rather than an
 implementation shortcut: its cells must equal the registry's layout (each
 segment followed by one separator, built once per registry), and a tape
-that does not is decoded in full to say why. Only then does the child carry
-the parent's registry, which that check has shown equal to the one its tape
-encodes.
+that does not is refused, its last cell and its separator count saying
+whether it is undecodable or encodes other segments. Only then does the
+child carry the parent's registry, which that check has shown equal to the
+one its tape encodes.
 
 Program segments are laid out on the tape as symbol runs over {1, …, n−1},
 each terminated by one separator cell (symbol 0), making the layout
@@ -41,7 +42,7 @@ from .errors import (
     InputError,
     UndecodableProgramError,
 )
-from .linalg import Operator, StateVector, _integer, _plain_ints_within, _state_with_amps, apply_sequence, basis_state
+from .linalg import Operator, StateVector, _integer, _state_with_amps, apply_sequence, basis_state
 from .linalg import fidelity, identity
 from .tape import Tape, format_tape, parse_tape, replicate_tape, tape_to_state
 
@@ -63,25 +64,20 @@ class ProgramRegistry:
     def __init__(self, gate_set: GateSet, segments: Mapping[str, Sequence[int]]):
         object.__setattr__(self, "gate_set", gate_set)
         n = gate_set.n
-        raw = tuple((name, tuple(cells)) for name, cells in dict(segments).items())
-        checked = _plain_ints_within(tuple(itertools.chain.from_iterable(cells for _, cells in raw)), 1, n)
-        if not checked:
-            raw = tuple(
-                (name, tuple(c if type(c) is int else _integer(c, f"segment {name!r} symbol") for c in cells))
-                for name, cells in raw
-            )
-        normalized = tuple((str(name), cells) for name, cells in raw)
+        normalized = tuple(
+            (str(name), tuple(c if type(c) is int else _integer(c, f"segment {name!r} symbol") for c in cells))
+            for name, cells in dict(segments).items()
+        )
         names = [name for name, _ in normalized]
         if len(set(names)) != len(names):
             raise ContractError("segment names must be unique")
-        if not checked:
-            for name, cells in normalized:
-                for c in cells:
-                    if not 1 <= c < n:
-                        raise ContractError(
-                            f"segment {name!r} holds symbol {c}; symbols must lie in "
-                            f"[1, {n - 1}] (0 is the separator)"
-                        )
+        for name, cells in normalized:
+            for c in cells:
+                if not 1 <= c < n:
+                    raise ContractError(
+                        f"segment {name!r} holds symbol {c}; symbols must lie in "
+                        f"[1, {n - 1}] (0 is the separator)"
+                    )
         object.__setattr__(self, "segments", normalized)
         # The cells encode_tape lays out: each segment followed by one separator.
         layout = tuple(itertools.chain.from_iterable((*cells, SEPARATOR) for _, cells in normalized))
@@ -105,34 +101,16 @@ def encode_tape(registry: ProgramRegistry, head: int = 0) -> Tape:
     return Tape(registry.gate_set.n, registry._layout, head)
 
 
-def split_segments(t: Tape) -> tuple[tuple[int, ...], ...]:
-    """Split tape cells into separator-terminated segments.
-
-    Raises UndecodableProgramError when the final segment is unterminated.
-    """
-    cells = t.cells
-    segments: list[tuple[int, ...]] = []
-    start = 0
-    for _ in range(cells.count(SEPARATOR)):
-        end = cells.index(SEPARATOR, start)
-        segments.append(cells[start:end])
-        start = end + 1
-    if start < len(cells):
-        raise UndecodableProgramError(
-            "tape does not end on a separator; trailing segment is unterminated"
-        )
-    return tuple(segments)
-
-
 def _encodes(t: Tape, registry: ProgramRegistry) -> bool:
     """Whether the tape decodes into exactly the registry's segments.
 
     With matching alphabets, it does exactly when its cells are the
     registry's layout: segments hold no separator and each ends in one, so no
-    other cells decode into them. Any other tape is refused; the decoder runs
-    on it only to classify the refusal, raising UndecodableProgramError when
-    the alphabets differ, the last segment is unterminated or the segment
-    count is not the registry's, and giving False otherwise.
+    other cells decode into them. Any other tape is refused without being
+    decoded: UndecodableProgramError when the alphabets differ, the last cell
+    is not a separator (the trailing segment is unterminated) or the tape
+    holds a different number of separators than the registry has segments,
+    and False otherwise.
     """
     if t.alphabet_size != registry.gate_set.n:
         raise UndecodableProgramError(
@@ -140,10 +118,14 @@ def _encodes(t: Tape, registry: ProgramRegistry) -> bool:
         )
     if t.cells == registry._layout:
         return True
-    segments = split_segments(t)
-    if len(segments) != len(registry.segments):
+    if t.cells[-1] != SEPARATOR:
         raise UndecodableProgramError(
-            f"tape decodes into {len(segments)} segments, registry names {len(registry.segments)}"
+            "tape does not end on a separator; trailing segment is unterminated"
+        )
+    count = t.cells.count(SEPARATOR)
+    if count != len(registry.segments):
+        raise UndecodableProgramError(
+            f"tape decodes into {count} segments, registry names {len(registry.segments)}"
         )
     return False
 
@@ -218,7 +200,7 @@ def scattering_apply(
 
 @dataclass(frozen=True, eq=False)
 class Automaton:
-    """A tape, its translated payload, the registry decoded from the tape."""
+    """A tape, its translated payload, the registry its tape encodes."""
 
     tape: Tape
     payload: StateVector
@@ -230,17 +212,13 @@ class Automaton:
         if generation < 0:
             raise ContractError(f"generation must be non-negative, got {generation}")
         object.__setattr__(self, "generation", generation)
-        if self.tape.alphabet_size != self.registry.gate_set.n:
-            raise ContractError(
-                f"tape alphabet {self.tape.alphabet_size} does not match "
-                f"gate set size {self.registry.gate_set.n}"
-            )
+        translation = translate(self.tape, self.registry)
         if self.payload.dim != self.registry.gate_set.dim:
             raise ContractError(
                 f"payload dim {self.payload.dim} does not match "
                 f"gate dim {self.registry.gate_set.dim}"
             )
-        achieved = fidelity(self.payload, translate(self.tape, self.registry))
+        achieved = fidelity(self.payload, translation)
         if achieved < 1.0 - config.TRANSLATED_TOL:
             raise ContractError(
                 f"payload has fidelity {achieved!r} to the tape's translation, "
@@ -364,5 +342,5 @@ def automaton_from_json(obj) -> Automaton:
         if not _encodes(t, registry):
             raise InputError("automaton: registry segments differ from the ones its tape encodes")
         return Automaton(t, payload, registry, obj.get("generation", 0))
-    except (ContractError, UndecodableProgramError) as exc:
+    except ContractError as exc:
         raise InputError(f"automaton: {exc}") from exc

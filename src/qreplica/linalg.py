@@ -268,19 +268,6 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def _plain_ints_within(values: tuple, lo: int, hi: int) -> bool:
-    """True when ``values`` is non-empty and holds only plain ints in [lo, hi).
-
-    One pass over the types and a min/max of the distinct values: the fast
-    path callers take before falling back to their per-value check, which
-    then raises the error for the first bad value.
-    """
-    if not values or list(map(type, values)).count(int) != len(values):
-        return False
-    distinct = set(values)
-    return lo <= min(distinct) and max(distinct) < hi
-
-
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{where}: expected a number, got {value!r}")

@@ -20,7 +20,7 @@ import numpy as np
 from . import config
 from .basis_ops import _copy_rows
 from .errors import ContractError, InputError, ReplicationIntegrityError
-from .linalg import StateVector, _check_capacity, _check_unitary_family, _integer, _plain_ints_within, _state_with_amps
+from .linalg import StateVector, _check_capacity, _check_unitary_family, _integer, _state_with_amps
 from .linalg import apply_sequence, basis_state
 
 
@@ -36,9 +36,7 @@ class Tape:
         n = _integer(self.alphabet_size, "alphabet size")
         if n < 1:
             raise ContractError(f"alphabet size must be positive, got {n}")
-        cells = tuple(self.cells)
-        if not _plain_ints_within(cells, 0, n):
-            cells = tuple(_cell(c, i, n) for i, c in enumerate(cells))
+        cells = tuple(_cell(c, i, n) for i, c in enumerate(self.cells))
         if not cells:
             raise ContractError("a tape needs at least one cell")
         head = _integer(self.head, "head")

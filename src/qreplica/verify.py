@@ -20,6 +20,7 @@ from .automaton import (
     automaton_overlap,
     demo_automaton,
     demo_conditional_blocks,
+    demo_registry,
     program_state,
     replicate,
     scattering_apply,
@@ -253,7 +254,7 @@ def criterion_closed_loop() -> CriterionResult:
     """Tape-encoded copy and conditional programs act like the built operators."""
     worst = 0.0
     for n in (2, 3):
-        registry = demo_automaton(n).registry
+        registry = demo_registry(n)
         copier = cloner(n)
         cond = conditional_dynamics(demo_conditional_blocks(n))
         psi_c = program_state(registry, "C")

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from qreplica.automaton import (
     program_state,
     replicate,
     scattering_apply,
-    split_segments,
     translate,
 )
 from qreplica.basis_ops import apply_controlled, cloner, conditional_dynamics
@@ -164,14 +164,9 @@ class TestTapeLayout:
         assert t.cells == (1, 0, 2, 0, 3, 1, 0)
         assert t.head == 0
 
-    def test_split_round_trips(self):
-        reg = demo_registry(2)
-        t = encode_tape(reg)
-        assert split_segments(t) == ((1,), (2,), (3, 1))
-
     def test_unterminated_tape_is_undecodable(self):
         with pytest.raises(UndecodableProgramError, match="separator"):
-            split_segments(Tape(4, (1, 0, 2)))
+            qreplica.automaton._encodes(Tape(4, (1, 0, 2)), demo_registry(2))
 
     def test_decode_matches_names_in_order(self):
         reg = demo_registry(2)
@@ -293,6 +288,14 @@ class TestAutomaton:
         with pytest.raises(ContractError, match="translation"):
             Automaton(a.tape, basis_state(4, 3), a.registry)
 
+    def test_alphabet_mismatch_is_undecodable(self):
+        """The alphabet check is translate's: the same error type and text."""
+        reg = demo_registry(2)
+        t = Tape(3, (1, 0))
+        with pytest.raises(UndecodableProgramError) as excinfo:
+            Automaton(t, basis_state(4, 0), reg)
+        assert str(excinfo.value) == "tape alphabet 3 does not match gate set size 4"
+
     def test_bad_generation(self):
         a = demo_automaton(2)
         for generation in (-1, 1.5, True, 1.0):
@@ -312,6 +315,32 @@ class TestReplicate:
             assert fidelity(child.payload, current.payload) >= 1.0 - 1e-8
             assert child.registry.segments == current.registry.segments
             current = child
+
+    def test_a_generation_builds_no_tape_and_no_registry(self, monkeypatch):
+        """Tape and registry validation are setup costs: the child carries
+        the parent's own tape and registry objects."""
+        data = Path(__file__).parent / "data" / "replicate_240_head17_automaton.json"
+        parent = automaton_from_json(json.loads(data.read_text()))
+        built = []
+
+        def counting(name, original):
+            def wrapper(self, *args):
+                built.append(name)
+                return original(self, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(Tape, "__post_init__", counting("Tape", Tape.__post_init__))
+        monkeypatch.setattr(ProgramRegistry, "__init__", counting("ProgramRegistry", ProgramRegistry.__init__))
+        _, child = replicate(parent)
+        assert built == []
+        assert child.tape is parent.tape
+        assert child.registry is parent.registry
+        assert child.generation == parent.generation + 1
+        # The spies do see a construction.
+        Tape(2, (0,))
+        ProgramRegistry(parent.registry.gate_set, {})
+        assert built == ["Tape", "ProgramRegistry"]
 
     def test_grandchild_tape_matches_parent(self):
         a = demo_automaton(3)
@@ -415,15 +444,6 @@ def test_layout_comparison_agrees_with_the_full_decoder(case):
     registry, t = case
     decoded = _outcome(lambda: registry_from_tape(t, registry).segments == registry.segments)
     assert _outcome(qreplica.automaton._encodes, t, registry) == decoded
-
-
-def test_an_encoded_tape_is_accepted_without_decoding(monkeypatch):
-    def undecodable(t):
-        raise AssertionError("the tape was decoded")
-
-    monkeypatch.setattr(qreplica.automaton, "split_segments", undecodable)
-    parent, child = replicate(demo_automaton(3))
-    assert child.tape == parent.tape
 
 
 @given(registries_and_heads(), st.integers(0, 2**32 - 1))

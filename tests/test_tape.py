@@ -71,6 +71,12 @@ class TestTapeType:
     def test_head_out_of_range(self):
         with pytest.raises(ContractError, match="head"):
             Tape(2, (0, 1), head=2)
+        with pytest.raises(ContractError, match="^head -1 out of range for 2 cells$"):
+            Tape(2, (0, 1), head=-1)
+
+    def test_alphabet_size_must_be_positive(self):
+        with pytest.raises(ContractError, match="^alphabet size must be positive, got 0$"):
+            Tape(0, (0,))
 
     def test_needs_a_cell(self):
         with pytest.raises(ContractError):
