@@ -77,12 +77,20 @@ class ApproxResult:
     ``symbols`` is in application order: symbols[0] selects the gate applied
     first. The equivalent tape lists cells most-significant-first, i.e.
     reversed. An empty ``symbols`` denotes the identity (empty product).
+
+    ``profile[L]`` is the best distance over lengths ≤ L, for every length L
+    the search evaluated: ``profile[0]`` is the identity's distance and
+    ``profile[-1]`` is ``achieved_distance``. It is never increasing, and
+    ``profile[L]`` equals the ``achieved_distance`` of the same search with
+    ``max_len=L``, since a search evaluates a level before it decides whether
+    to expand it.
     """
 
     symbols: tuple[int, ...]
     achieved_distance: float
     target: Operator
     expansions: int
+    profile: tuple[float, ...]
 
     def tape(self, alphabet_size: int) -> Tape:
         if not self.symbols:
@@ -335,7 +343,8 @@ def best_approximation(
     built with one BLAS call per parent, the n gates stacked as rows over it;
     the call keeps dim columns, so each product's bits are those of
     ``gate @ parent`` alone. A level of more than MAX_DIM amplitudes is
-    refused with ``CapacityError``.
+    refused with ``CapacityError``. After each evaluated level the best
+    distance so far joins the result's ``profile``.
 
     With ``epsilon`` set, the search stops after the first level at which the
     best distance so far reaches epsilon (finishing that level, so the result
@@ -370,6 +379,7 @@ def best_approximation(
     net = _VisitedNet(dim, radius)
     net.admit(frontier.reshape(1, -1))
     best_dist = distance_of(frontier[0].reshape(-1))
+    profile = [best_dist]
     best_at: tuple[int, int] | None = None
     expansions = 1
     # Per level: for each kept product, its parent's index in the previous
@@ -396,6 +406,7 @@ def best_approximation(
             dist = distance_of(flats[j])
             if dist < best_dist:
                 best_dist, best_at = dist, (level, int(picks[j]))
+        profile.append(best_dist)
         # Expand: build and admit only a level that another grows from.
         if level == max_len - 1 or (epsilon is not None and best_dist <= epsilon):
             break
@@ -419,6 +430,7 @@ def best_approximation(
         achieved_distance=best_dist,
         target=target,
         expansions=expansions,
+        profile=tuple(profile),
     )
 
 

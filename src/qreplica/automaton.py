@@ -65,7 +65,7 @@ class ProgramRegistry:
         object.__setattr__(self, "gate_set", gate_set)
         n = gate_set.n
         normalized = tuple(
-            (str(name), tuple(c if type(c) is int else _integer(c, f"segment {name!r} symbol") for c in cells))
+            (str(name), tuple(c if type(c) is int else _integer(c, f"segment {str(name)!r} symbol") for c in cells))
             for name, cells in dict(segments).items()
         )
         names = [name for name, _ in normalized]

@@ -4,10 +4,12 @@ The enumeration oracle rebuilds every product level by level with no pruning;
 the searched results must never beat it and never fall behind it.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from qreplica import config
+from qreplica import config, verify
 from qreplica.approx import (
     ApproxResult,
     GateSet,
@@ -150,7 +152,7 @@ class TestApproximate:
     def test_result_invariant_on_construction(self):
         g = default_gate_set()
         result = best_approximation(X, g, 6)
-        rebuilt = ApproxResult(result.symbols, result.achieved_distance, X, result.expansions)
+        rebuilt = ApproxResult(result.symbols, result.achieved_distance, X, result.expansions, result.profile)
         recomputed = phase_invariant_distance(product_operator(rebuilt.symbols, g), rebuilt.target)
         assert abs(recomputed - rebuilt.achieved_distance) <= 1e-12
 
@@ -240,3 +242,53 @@ class TestApproximate:
         result = best_approximation(identity(2), g, 4)
         with pytest.raises(ContractError):
             result.tape(g.n)
+
+
+def criterion_6_targets(seed):
+    """The 20 targets criterion 6 draws for ``verify --seed seed``."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(8)[5])
+    return [random_unitary(2, rng) for _ in range(20)]
+
+
+class TestProfile:
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_each_entry_is_the_search_at_that_length(self, seed):
+        """profile[L] has the bits of a search with max_len=L, and ends at
+        the result's own distance without ever rising."""
+        g = default_gate_set()
+        for target in criterion_6_targets(seed):
+            result = best_approximation(target, g, 12)
+            profile = result.profile
+            assert len(profile) == 13
+            assert profile[-1] == result.achieved_distance
+            assert all(b <= a for a, b in zip(profile, profile[1:]))
+            for length in (1, 2, 3, 4, 5, 6, 8, 12):
+                alone = best_approximation(target, g, length).achieved_distance
+                assert profile[length].hex() == alone.hex()
+
+    @pytest.mark.parametrize("target, epsilon", [(X, 0.1), (H, 0.1), (default_gate_set().gates[0], 0.25)])
+    def test_epsilon_ends_the_profile_where_the_search_stopped(self, target, epsilon):
+        g = default_gate_set()
+        result = best_approximation(target, g, 12, epsilon=epsilon)
+        profile = result.profile
+        assert profile[-1] == result.achieved_distance <= epsilon
+        assert all(d > epsilon for d in profile[:-1])
+        # The search stops at the first length that meets epsilon.
+        assert len(profile) - 1 == len(result.symbols)
+
+    def test_an_emptied_frontier_ends_the_profile(self):
+        """The one gate is the identity, so the net merges the first level
+        into the root and no second level is evaluated."""
+        g = GateSet((identity(2),))
+        result = best_approximation(X, g, 5)
+        assert result.symbols == ()
+        assert result.profile == (result.achieved_distance,) * 2
+
+
+def test_criterion_6_searches_each_target_once():
+    spy_search = mock.patch.object(verify, "best_approximation", wraps=best_approximation)
+    spy_oracle = mock.patch.object(verify, "_exhaustive_best_distances", wraps=verify._exhaustive_best_distances)
+    with spy_search as searches, spy_oracle as oracles:
+        verify.criterion_approximation(np.random.default_rng(7))
+    assert [call.args[2] for call in searches.call_args_list] == [12] * 20
+    assert [call.args[2] for call in oracles.call_args_list] == [6] * 20

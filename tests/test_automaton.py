@@ -105,6 +105,13 @@ class TestProgramRegistry:
             with pytest.raises(ContractError):
                 ProgramRegistry(g, {"bad": cells})
 
+    def test_errors_name_a_segment_by_its_normalized_name(self):
+        g = demo_registry(2).gate_set
+        with pytest.raises(ContractError, match="^segment '1' symbol must be an integer"):
+            ProgramRegistry(g, {1: [True]})
+        with pytest.raises(ContractError, match="^segment '1' holds symbol 9;"):
+            ProgramRegistry(g, {1: [9]})
+
     def test_empty_segment_allowed(self):
         g = demo_registry(2).gate_set
         reg = ProgramRegistry(g, {"noop": ()})
@@ -123,7 +130,7 @@ def reference_segments(n, segments):
         for c in cells:
             if type(c) is not int:
                 if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
-                    return f"segment {name!r} symbol must be an integer, got {c!r}"
+                    return f"segment {str(name)!r} symbol must be an integer, got {c!r}"
                 c = int(c)
             symbols.append(c)
         normalized.append((str(name), tuple(symbols)))

@@ -22,7 +22,7 @@ from qreplica.automaton import ProgramRegistry, scattering_apply, translate
 from qreplica.basis_ops import _copy_rows
 from qreplica.linalg import Operator, apply, apply_sequence, basis_state, random_state, random_unitary
 from qreplica.tape import Tape, replicate_tape, run_tape, tape_to_state
-from qreplica.verify import _exhaustive_best_distance
+from qreplica.verify import _exhaustive_best_distances
 
 
 def reference_head_order(t):
@@ -149,8 +149,9 @@ def test_exhaustive_distance_matches_the_gate_loop(seed, n, dim, max_len):
     target = random_unitary(dim, rng)
     # A target equal to one of the gates puts the minimum at an exact overlap.
     for candidate in (target, g.gates[int(rng.integers(0, n))]):
-        got = _exhaustive_best_distance(candidate, g, max_len)
-        assert got.hex() == reference_exhaustive_best_distance(candidate, g, max_len).hex()
+        got = _exhaustive_best_distances(candidate, g, max_len)
+        want = [reference_exhaustive_best_distance(candidate, g, length) for length in range(max_len + 1)]
+        assert [d.hex() for d in got] == [d.hex() for d in want]
 
 
 def reference_apply_sequence(matrices, symbols, x):
