@@ -17,8 +17,10 @@ by a grid on three phase-invariant coordinates of each product. A merge moves
 each coordinate by at most half a cell side, so a product's merge partners lie
 within 2 cells per axis of it (see ``_VisitedNet``). A level joins the index
 before it is probed, so one probe per product finds its partners among the
-kept products and among the earlier products of its own level. The grid only
-proposes merge candidates, and every merge is confirmed with the exact test
+kept products and among the earlier products of its own level. A probed run
+that holds only the product itself, or a later product of its level, is
+dropped before its pairs are expanded. The grid only proposes merge
+candidates, and every merge is confirmed with the exact test
 |tr(A†B)| >= d(1 − r²). Overlaps within 1e-12 of that threshold are
 recomputed as a matrix-vector product of the net with the new product before
 they decide, so indexing changes which pairs are compared, never which
@@ -183,7 +185,10 @@ class _VisitedNet:
     the index holds their cell keys, sorted, each with its row. ``admit``
     stages a level's rows behind them and merges the level's keys into the
     index, probes each product's 4 runs once, then removes the products it
-    did not keep, so the net again holds exactly its kept products.
+    did not keep, so the net again holds exactly its kept products. Most
+    probed runs hold one key, usually the product's own: a run whose one key
+    is the product itself or a later product of its level pairs it with
+    nothing and is dropped before pairs are expanded.
     """
 
     def __init__(self, dim: int, radius: float):
@@ -246,7 +251,7 @@ class _VisitedNet:
         order[at], order[stored] = by_cell + start, self._order
         self._sorted, self._order = merged, order
 
-        q, e = self._merges(flats.conj(), bases, start)
+        q, e = self._merges(flats, bases, start)
         within = e >= start
         kept = np.ones(len(flats), dtype=bool)
         kept[q[~within]] = False
@@ -265,12 +270,12 @@ class _VisitedNet:
         self._count = start + len(fresh)
         return fresh
 
-    def _merges(self, conj: np.ndarray, bases: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    def _merges(self, flats: np.ndarray, bases: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
         """Pairs (product q of the level, indexed product e) that merge.
 
-        The level's rows are ``start`` on in the buffer and ``conj`` is their
-        conjugate; e is a stored product (e < start) or one earlier in the
-        level (e − start < q), and |tr(buf[e]†·flats[q])| >= threshold.
+        The level's rows ``flats`` are ``start`` on in the buffer; e is a
+        stored product (e < start) or one earlier in the level
+        (e − start < q), and |tr(buf[e]†·flats[q])| >= threshold.
 
         An overlap near the threshold is recomputed the way one matrix-vector
         product of the whole net with the query computes it, so a decision at
@@ -293,10 +298,19 @@ class _VisitedNet:
         multi = np.flatnonzero((lo + 1 < len(sorted_keys)) & (second < ends))
         counts[multi] = np.searchsorted(sorted_keys, ends[multi]) - lo[multi]
         slot_queries = by_base[slots % len(bases)]
+        # A run of one key whose product is the query or a later product of
+        # its level has no pair: drop it before expanding.
+        useful = (counts > 1) | (order[lo] < start + slot_queries)
+        lo, counts, slot_queries = lo[useful], counts[useful], slot_queries[useful]
+        # Conjugate once each query that still has a candidate.
+        has = np.zeros(len(flats), dtype=bool)
+        has[slot_queries] = True
+        rank = np.cumsum(has) - 1
+        conj = flats[has].conj()
         totals = np.cumsum(counts)
         found_q, found_e = [], []
         begin = 0
-        while begin < len(slots):
+        while begin < len(lo):
             done = totals[begin - 1] if begin else 0
             stop = int(np.searchsorted(totals, done + _PAIR_BLOCK, "right"))
             stop = max(stop, begin + 1)
@@ -308,7 +322,7 @@ class _VisitedNet:
             # Stored products, and products earlier in the level.
             earlier = e < start + q
             q, e = q[earlier], e[earlier]
-            query = conj[q]
+            query = conj[rank[q]]
             overlaps = np.abs(np.einsum("ij,ij->i", store[e], query))
             # Two rows, because numpy hands a one-row product to a dot
             # kernel that rounds differently.
@@ -368,6 +382,7 @@ def best_approximation(
     # in symbol order, from one BLAS call with dim columns.
     gate_rows = gate_mats.reshape(n * dim, dim)
     target_flat = target.entries.reshape(-1)
+    target_conj = target_flat.conj()
     # Column l is conj(G_l†T): a parent F times it is conj(tr((G_l F)†T)).
     lifted = (gate_mats.conj().transpose(0, 2, 1) @ target.entries).reshape(n, -1).conj().T
 
@@ -398,8 +413,7 @@ def best_approximation(
         # keeps the best and all near it, built with the expanded level's bits.
         picks = np.flatnonzero(screened >= screened.max() - 2.0 * _EXACT_MARGIN)
         flats = np.matmul(gate_mats[picks % n], frontier[picks // n]).reshape(len(picks), -1)
-        # One row more: numpy rounds a one-row product in another (dot) kernel.
-        overlaps = np.abs(flats[np.r_[: len(picks), 0]] @ target_flat.conj())[:-1]
+        overlaps = np.abs(flats @ target_conj)
         # Same length throughout the level, so the first best one wins it, and
         # it replaces a shorter best only by being strictly better.
         for j in np.flatnonzero(overlaps >= overlaps.max() - _EXACT_MARGIN):

@@ -291,4 +291,5 @@ def test_criterion_6_searches_each_target_once():
     with spy_search as searches, spy_oracle as oracles:
         verify.criterion_approximation(np.random.default_rng(7))
     assert [call.args[2] for call in searches.call_args_list] == [12] * 20
-    assert [call.args[2] for call in oracles.call_args_list] == [6] * 20
+    # One enumeration to length 6 scores all 20 targets.
+    assert [(len(call.args[0]), call.args[2]) for call in oracles.call_args_list] == [(20, 6)]

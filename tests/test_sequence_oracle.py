@@ -148,8 +148,8 @@ def test_exhaustive_distance_matches_the_gate_loop(seed, n, dim, max_len):
     g = GateSet(tuple(random_unitary(dim, rng) for _ in range(n)))
     target = random_unitary(dim, rng)
     # A target equal to one of the gates puts the minimum at an exact overlap.
-    for candidate in (target, g.gates[int(rng.integers(0, n))]):
-        got = _exhaustive_best_distances(candidate, g, max_len)
+    candidates = (target, g.gates[int(rng.integers(0, n))])
+    for candidate, got in zip(candidates, _exhaustive_best_distances(candidates, g, max_len), strict=True):
         want = [reference_exhaustive_best_distance(candidate, g, length) for length in range(max_len + 1)]
         assert [d.hex() for d in got] == [d.hex() for d in want]
 

@@ -7,13 +7,20 @@ at most half a cell side and the two cells probed per axis hold every
 partner, so A is placed with its coordinates at or next to cell boundaries
 and at half-cell offsets, where the probed cells change, and B is pushed up
 to the merge radius in a random direction.
+
+The net must also decide a pair at the threshold as an unindexed scan does,
+and the runs it drops before expanding pairs must hold no pair.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qreplica.approx import _EXACT_MARGIN, _VisitedNet
+from qreplica import approx
+from qreplica.approx import _EXACT_MARGIN, _VisitedNet, best_approximation, default_gate_set
 from qreplica.linalg import random_unitary
 
 
@@ -252,3 +259,114 @@ def test_the_net_holds_exactly_its_kept_products(gates, radius):
         assert np.array_equal(net._sorted, np.sort(cells))
         assert np.array_equal(np.sort(net._order), np.arange(len(held)))
         assert np.array_equal(cells[net._order], net._sorted)
+
+
+def straddling_pair(dim, rng):
+    """Unitaries A, B and a radius whose threshold lies between the batched
+    (einsum) and the matrix-vector overlap of A and B."""
+    for _ in range(1000):
+        a = random_unitary(dim, rng).entries.reshape(-1)
+        b = partner(a.reshape(dim, dim), rng, 0.01, rotate=False).reshape(-1)
+        batched = np.abs(np.einsum("ij,ij->i", a[None], b.conj()[None]))[0]
+        scanned = np.abs(np.stack([a, a]) @ b.conj())[0]
+        low, high = sorted([batched, scanned])
+        radius = np.sqrt(1.0 - high / dim)
+        for _ in range(8):
+            threshold = dim * (1.0 - radius * radius)
+            if low < threshold <= high:
+                return a, b, radius
+            radius = np.nextafter(radius, 0.0 if threshold <= low else 1.0)
+    raise AssertionError("no straddling pair found")
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("same_level", [False, True])
+def test_a_pair_at_the_threshold_merges_as_the_linear_scan_decides(dim, same_level):
+    """The batched overlap and the scan's overlap of one pair fall on either
+    side of the threshold: the recompute makes the net decide as the scan."""
+    a, b, radius = straddling_pair(dim, np.random.default_rng(dim))
+    net = _VisitedNet(dim, radius)
+    root = np.eye(dim, dtype=complex).reshape(-1)
+    net.admit(root[None])
+    if same_level:
+        kept = net.admit(np.stack([a, b]))
+        assert list(kept[:1]) == [0]
+        b_kept = len(kept) == 2
+    else:
+        assert list(net.admit(a[None])) == [0]
+        b_kept = len(net.admit(b[None])) == 1
+    # linear_scan_search's test: one matrix-vector product of the net with B.
+    assert b_kept == (np.abs(np.stack([root, a]) @ b.conj()).max() < net._threshold)
+
+
+class UnfilteredProbeNet(_VisitedNet):
+    """Checks every ``_merges`` against a probe that pairs each product with
+    every key of its 4 runs, and counts what the probed indexes held."""
+
+    def __init__(self, dim, radius):
+        super().__init__(dim, radius)
+        self.seen = {"duplicate keys": 0, "multi-key runs": 0, "most blocks": 0}
+
+    def _merges(self, flats, bases, start):
+        # One np.repeat per block of pairs.
+        with mock.patch.object(np, "repeat", wraps=np.repeat) as blocks:
+            q, e = super()._merges(flats, bases, start)
+        self.seen["most blocks"] = max(self.seen["most blocks"], blocks.call_count)
+        runs = (self._runs[:, None] + bases).ravel()
+        lo = np.searchsorted(self._sorted, runs)
+        counts = np.searchsorted(self._sorted, runs + 2) - lo
+        slot = np.repeat(np.arange(len(runs)), counts)
+        want_e = self._order[lo[slot] + np.arange(counts.sum()) - (np.cumsum(counts) - counts)[slot]]
+        want_q = slot % len(bases)
+        earlier = want_e < start + want_q
+        want_q, want_e = want_q[earlier], want_e[earlier]
+        conj = flats[want_q].conj()
+        overlaps = np.abs(np.einsum("ij,ij->i", self._buf[want_e], conj))
+        for i in np.flatnonzero(np.abs(overlaps - self._threshold) <= _EXACT_MARGIN):
+            overlaps[i] = np.abs(self._buf[[want_e[i], want_e[i]]] @ conj[i])[0]
+        hit = overlaps >= self._threshold
+        got, want = np.stack([q, e]), np.stack([want_q[hit], want_e[hit]])
+        assert np.array_equal(got[:, np.lexsort(got)], want[:, np.lexsort(want)])
+        self.seen["duplicate keys"] += bool(np.any(np.diff(self._sorted) == 0))
+        self.seen["multi-key runs"] += bool(np.any(counts > 1))
+        return q, e
+
+
+@settings(max_examples=40)
+@given(gates=gate_sets, radius=st.sampled_from([1e-3, 0.05]), block=st.sampled_from([1, 7, 64]))
+def test_merges_pairs_what_an_unfiltered_probe_pairs(gates, radius, block):
+    """Dropping a run that holds only the query's own key, or a later product
+    of its level, loses no pair, however the pairs are split into blocks."""
+    net = UnfilteredProbeNet(gates.shape[1], radius)
+    with mock.patch.object(approx, "_PAIR_BLOCK", block):
+        for _ in levels(gates, [net], max_len=10):
+            pass
+
+
+@pytest.mark.parametrize("radius", [1e-3, 0.05])
+def test_the_unfiltered_probe_covers_duplicate_keys_and_multi_key_runs(radius):
+    net = UnfilteredProbeNet(2, radius)
+    with mock.patch.object(approx, "_PAIR_BLOCK", 7):
+        for _ in levels(np.stack([H, S, T]), [net], max_len=10):
+            pass
+    assert net.seen["duplicate keys"] and net.seen["multi-key runs"] and net.seen["most blocks"] > 1
+
+
+def test_a_deep_search_expands_few_pairs_per_admitted_product():
+    """At the default radius almost every probed run holds only the query's
+    own key; such runs are dropped before their pairs are expanded."""
+    admitted = []
+    admit = _VisitedNet.admit
+
+    def counting_admit(net, flats):
+        admitted.append(len(flats))
+        return admit(net, flats)
+
+    target = random_unitary(2, np.random.default_rng(3))
+    with mock.patch.object(_VisitedNet, "admit", counting_admit), mock.patch.object(
+        np, "repeat", wraps=np.repeat
+    ) as repeats:
+        best_approximation(target, default_gate_set(), 14)
+    expanded = sum(int(np.sum(call.args[1])) for call in repeats.call_args_list)
+    assert sum(admitted) > 16_000
+    assert expanded < 0.1 * sum(admitted)
