@@ -12,7 +12,9 @@ Each level is ranked from its parents, since |tr((G F)†T)| = |⟨F, G†T⟩|,
 only its best products are built to decide it. A level is built in full, with
 one BLAS call per parent that yields all its n products, and admitted to the
 net only if another level grows from it. Each call still has dim columns, so
-every product has the bits of its own 2-D matrix product. The net is indexed
+every product has the bits of its own 2-D matrix product. A level is built in
+the net's own buffer, and the next one grows from a view of the rows the net
+kept, so each product is stored once. The net is indexed
 by a grid on three phase-invariant coordinates of each product. A merge moves
 each coordinate by at most half a cell side, so a product's merge partners lie
 within 2 cells per axis of it (see ``_VisitedNet``). A level joins the index
@@ -157,6 +159,26 @@ _EXACT_MARGIN = 1e-12
 # probed run of one product alone has more), which bounds the search's working
 # memory.
 _PAIR_BLOCK = 1 << 15
+# The net probes, and moves when it drops products, at most this many rows at
+# once, which bounds the scratch a deep level needs.
+_ROW_BLOCK = 1 << 11
+
+
+def _compact(arrays, keep: np.ndarray, first: int) -> int:
+    """Move each array's rows where ``keep`` holds to its front, in order and in
+    place, and return how many there are. Rows before ``first`` are all kept.
+
+    A block is gathered before it is written, and is written no later than it
+    was read, so no row is overwritten before it is read.
+    """
+    write = first
+    for read in range(first, len(keep), _ROW_BLOCK):
+        block = keep[read : read + _ROW_BLOCK]
+        for a in arrays:
+            moved = a[read : read + _ROW_BLOCK][block]
+            a[write : write + len(moved)] = moved
+        write += int(np.count_nonzero(block))
+    return write
 
 
 class _VisitedNet:
@@ -182,13 +204,16 @@ class _VisitedNet:
     the side is capped at 4, where the grid is a single cell.
 
     Kept products' rows sit in one buffer, in the order they were kept, and
-    the index holds their cell keys, sorted, each with its row. ``admit``
-    stages a level's rows behind them and merges the level's keys into the
-    index, probes each product's 4 runs once, then removes the products it
-    did not keep, so the net again holds exactly its kept products. Most
-    probed runs hold one key, usually the product's own: a run whose one key
-    is the product itself or a later product of its level pairs it with
-    nothing and is dropped before pairs are expanded.
+    the index holds their cell keys, sorted, each with its row. A level's
+    rows are staged behind the kept ones: ``stage`` hands out those buffer
+    rows to be built in place, or ``admit`` copies a level given as its own
+    array there. ``admit`` merges the level's keys into the index, probes
+    each product's 4 runs once, a block of products at a time, then moves the
+    products it keeps together and removes the others, so the net again holds
+    exactly its kept products, and ``level`` is a view of the ones it just
+    kept. Most probed runs hold one key, usually the product's own: a run
+    whose one key is the product itself or a later product of its level pairs
+    it with nothing and is dropped before pairs are expanded.
     """
 
     def __init__(self, dim: int, radius: float):
@@ -207,8 +232,30 @@ class _VisitedNet:
         self._runs = np.array([0, 1, span, span + 1], dtype=np.int64) * span
         self._buf = np.empty((256, dim * dim), dtype=complex)
         self._count = 0
+        # The last admitted level's kept rows start here.
+        self._level = 0
+        self._staged: np.ndarray | None = None
         self._order = np.empty(0, dtype=np.intp)
         self._sorted = np.empty(0, dtype=np.int64)
+
+    @property
+    def level(self) -> np.ndarray:
+        """The kept products of the last admitted level: a view of their rows."""
+        return self._buf[self._level : self._count]
+
+    def stage(self, count: int) -> np.ndarray:
+        """The buffer rows for the next ``count`` products, behind the kept ones.
+
+        The buffer may move to grow, which leaves earlier views of it (among
+        them ``level``) stale. Fill the rows, then ``admit`` them.
+        """
+        start, end = self._count, self._count + count
+        if end > len(self._buf):
+            grown = np.empty((max(end, 2 * len(self._buf)), self._buf.shape[1]), dtype=complex)
+            grown[:start] = self._buf[:start]
+            self._buf = grown
+        self._staged = self._buf[start:end]
+        return self._staged
 
     def _keys(self, flats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each product's cell key and the key its probe runs start from."""
@@ -230,26 +277,30 @@ class _VisitedNet:
     def admit(self, flats: np.ndarray) -> np.ndarray:
         """Keep each product no earlier one covers; return the kept indices.
 
-        Products are taken in order, so of two that cover each other only the
-        first is kept, exactly as if they were added one at a time.
+        ``flats`` is the rows ``stage`` handed out, or an array of its own,
+        which is copied into the buffer. Products are taken in order, so of
+        two that cover each other only the first is kept, exactly as if they
+        were added one at a time.
         """
-        start, end = self._count, self._count + len(flats)
+        if flats is not self._staged:
+            self.stage(len(flats))[:] = flats
+        flats, self._staged = self._staged, None
+        start = self._count
         cells, bases = self._keys(flats)
-        if end > len(self._buf):
-            grown = np.empty((max(end, 2 * len(self._buf)), self._buf.shape[1]), dtype=complex)
-            grown[:start] = self._buf[:start]
-            self._buf = grown
-        self._buf[start:end] = flats
         # One merge: the level's keys go before equal stored keys, as
         # searchsorted places them, and the stored keys fill the other slots.
         by_cell = np.argsort(cells)
-        at = np.searchsorted(self._sorted, cells[by_cell]) + np.arange(len(flats))
+        cells = cells[by_cell]
+        at = np.searchsorted(self._sorted, cells)
+        at += np.arange(len(flats))
         stored = np.ones(len(self._sorted) + len(flats), dtype=bool)
         stored[at] = False
         merged, order = np.empty(len(stored), dtype=np.int64), np.empty(len(stored), dtype=np.intp)
-        merged[at], merged[stored] = cells[by_cell], self._sorted
+        merged[at], merged[stored] = cells, self._sorted
         order[at], order[stored] = by_cell + start, self._order
         self._sorted, self._order = merged, order
+        # Free what the probe does not need before its scratch comes on top.
+        del cells, stored
 
         q, e = self._merges(flats, bases, start)
         within = e >= start
@@ -263,11 +314,14 @@ class _VisitedNet:
                 kept[j] = False
         fresh = np.flatnonzero(kept)
         if len(fresh) < len(flats):
-            self._buf[start : start + len(fresh)] = flats[fresh]
+            _compact([flats], kept, int(np.argmin(kept)))
             self._order[at] = (np.cumsum(kept) - 1 + start)[by_cell]
             gone = at[~kept[by_cell]]
-            self._sorted, self._order = np.delete(self._sorted, gone), np.delete(self._order, gone)
-        self._count = start + len(fresh)
+            held = np.ones(len(merged), dtype=bool)
+            held[gone] = False
+            size = _compact([merged, order], held, int(gone[0]))
+            self._sorted, self._order = merged[:size], order[:size]
+        self._level, self._count = start, start + len(fresh)
         return fresh
 
     def _merges(self, flats: np.ndarray, bases: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,26 +336,42 @@ class _VisitedNet:
         the threshold is the one an unindexed scan of the net makes.
         """
         sorted_keys, order, store = self._sorted, self._order, self._buf
-        # Queries are visited in base key order, so each run's needles are sorted.
+        if not len(bases):
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        # Queries are visited in base key order, so each run's needles are
+        # sorted, and probed a block at a time. Each probed run that may pair
+        # its query keeps the index of its first key, its key count and its
+        # query.
         by_base = np.argsort(bases)
-        runs = (self._runs[:, None] + bases[by_base]).ravel()
-        lo = np.searchsorted(sorted_keys, runs)
-        # Most runs are empty: look for a run's end only if its first key is in it.
-        ends = runs + 2
-        first = sorted_keys[np.minimum(lo, len(sorted_keys) - 1)]
-        slots = np.flatnonzero((lo < len(sorted_keys)) & (first < ends))
-        lo, ends = lo[slots], ends[slots]
-        # A run holds one key unless its second key is in it too: only then
-        # look for its end.
-        counts = np.ones(len(slots), dtype=np.intp)
-        second = sorted_keys[np.minimum(lo + 1, len(sorted_keys) - 1)]
-        multi = np.flatnonzero((lo + 1 < len(sorted_keys)) & (second < ends))
-        counts[multi] = np.searchsorted(sorted_keys, ends[multi]) - lo[multi]
-        slot_queries = by_base[slots % len(bases)]
-        # A run of one key whose product is the query or a later product of
-        # its level has no pair: drop it before expanding.
-        useful = (counts > 1) | (order[lo] < start + slot_queries)
-        lo, counts, slot_queries = lo[useful], counts[useful], slot_queries[useful]
+        candidates = []
+        for begin in range(0, len(bases), _ROW_BLOCK):
+            queries = by_base[begin : begin + _ROW_BLOCK]
+            runs = (self._runs[:, None] + bases[queries]).ravel()
+            lo = np.searchsorted(sorted_keys, runs)
+            # The key at lo is the run's first key if it is 0 or 1 past the
+            # run's start; past the end, take clips to the last key, which
+            # lies before the start. Most runs are empty: look for a run's end
+            # only if its first key is in it.
+            first = sorted_keys.take(lo, mode="clip")
+            first -= runs
+            slots = np.flatnonzero((first >= 0) & (first < 2))
+            lo, ends = lo[slots], runs[slots]
+            ends += 2
+            # A run holds one key unless its second key is in it too: only then
+            # look for its end. Past the end, the second key is the first one,
+            # and the search finds the run's one key.
+            counts = np.ones(len(slots), dtype=np.intp)
+            multi = np.flatnonzero(sorted_keys.take(lo + 1, mode="clip") < ends)
+            counts[multi] = np.searchsorted(sorted_keys, ends[multi]) - lo[multi]
+            slot_queries = queries[slots % len(queries)]
+            # A run of one key whose product is the query or a later product of
+            # its level has no pair: drop it before expanding.
+            useful = (counts > 1) | (order[lo] < start + slot_queries)
+            candidates.append((lo[useful], counts[useful], slot_queries[useful]))
+        # Rebinding the list frees the blocks' parts once they are joined.
+        if len(candidates) > 1:
+            candidates = [tuple(np.concatenate(parts) for parts in zip(*candidates))]
+        lo, counts, slot_queries = candidates[0]
         # Conjugate once each query that still has a candidate.
         has = np.zeros(len(flats), dtype=bool)
         has[slot_queries] = True
@@ -356,7 +426,9 @@ def best_approximation(
     admitted to the visited net) only if another level follows. A level is
     built with one BLAS call per parent, the n gates stacked as rows over it;
     the call keeps dim columns, so each product's bits are those of
-    ``gate @ parent`` alone. A level of more than MAX_DIM amplitudes is
+    ``gate @ parent`` alone. The calls write the level into the rows the net
+    stages for it, and the parents are ``net.level``, a view of the rows the
+    net kept of the level before. A level of more than MAX_DIM amplitudes is
     refused with ``CapacityError``. After each evaluated level the best
     distance so far joins the result's ``profile``.
 
@@ -390,10 +462,9 @@ def best_approximation(
         overlap = abs(np.vdot(flat, target_flat)) / dim
         return float(np.sqrt(max(0.0, 1.0 - overlap)))
 
-    frontier = np.eye(dim, dtype=complex)[None]
     net = _VisitedNet(dim, radius)
-    net.admit(frontier.reshape(1, -1))
-    best_dist = distance_of(frontier[0].reshape(-1))
+    net.admit(np.eye(dim, dtype=complex).reshape(1, -1))
+    best_dist = distance_of(net.level[0])
     profile = [best_dist]
     best_at: tuple[int, int] | None = None
     expansions = 1
@@ -403,16 +474,18 @@ def best_approximation(
     last_symbols: list[np.ndarray] = []
 
     for level in range(max_len):
+        frontier = net.level
         if (epsilon is not None and best_dist <= epsilon) or not len(frontier):
             break
         # Evaluate. Product c = i·n + l is gate l applied after kept product i:
         # the level stays in lexicographic order of symbol sequences.
         expansions += len(frontier) * n
-        screened = np.abs(frontier.reshape(len(frontier), -1) @ lifted).reshape(-1)
+        screened = np.abs(frontier @ lifted).reshape(-1)
         # Screened and built overlaps differ by far less than the margin, so this
         # keeps the best and all near it, built with the expanded level's bits.
         picks = np.flatnonzero(screened >= screened.max() - 2.0 * _EXACT_MARGIN)
-        flats = np.matmul(gate_mats[picks % n], frontier[picks // n]).reshape(len(picks), -1)
+        parent_mats = frontier.reshape(-1, dim, dim)[picks // n]
+        flats = np.matmul(gate_mats[picks % n], parent_mats).reshape(len(picks), -1)
         overlaps = np.abs(flats @ target_conj)
         # Same length throughout the level, so the first best one wins it, and
         # it replaces a shorter best only by being strictly better.
@@ -425,11 +498,14 @@ def best_approximation(
         if level == max_len - 1 or (epsilon is not None and best_dist <= epsilon):
             break
         _check_capacity(len(frontier) * n * dim * dim, "approximation level")
-        products = np.matmul(gate_rows, frontier).reshape(-1, dim, dim)
-        kept = net.admit(products.reshape(len(products), -1))
-        parents.append(kept // n)
-        last_symbols.append(kept % n)
-        frontier = products[kept]
+        products = net.stage(len(frontier) * n)
+        # Staging may have moved the buffer: read the parents where they are
+        # now, and let the old buffer go.
+        frontier = net.level.reshape(-1, dim, dim)
+        np.matmul(gate_rows, frontier, out=products.reshape(len(frontier), n * dim, dim))
+        kept = net.admit(products)
+        parents.append((kept // n).astype(np.int32))
+        last_symbols.append((kept % n).astype(np.int32))
 
     best_seq: list[int] = []
     if best_at is not None:

@@ -256,14 +256,16 @@ def automaton_overlap(a: Automaton, b: Automaton) -> complex:
     Zero whenever the tapes differ, regardless of the payloads, because tape
     states are exact basis vectors.
     """
-    if (
-        a.tape.alphabet_size != b.tape.alphabet_size
-        or a.tape.length != b.tape.length
-        or a.payload.dim != b.payload.dim
-    ):
+    return tape_payload_overlap(a.tape, a.payload, b.tape, b.payload)
+
+
+def tape_payload_overlap(ta: Tape, pa: StateVector, tb: Tape, pb: StateVector) -> complex:
+    """``automaton_overlap`` of the tape ⊗ payload states (ta, pa) and (tb, pb),
+    which need not be automata: a payload is not checked against its tape."""
+    if ta.alphabet_size != tb.alphabet_size or ta.length != tb.length or pa.dim != pb.dim:
         raise ContractError("automaton overlap requires matching tape and payload spaces")
-    tape_ip = 1.0 if a.tape.cells == b.tape.cells else 0.0
-    return complex(tape_ip * np.vdot(a.payload.amps, b.payload.amps))
+    tape_ip = 1.0 if ta.cells == tb.cells else 0.0
+    return complex(tape_ip * np.vdot(pa.amps, pb.amps))
 
 
 def demo_registry(n: int = 2) -> ProgramRegistry:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError, InputError
 from .linalg import Operator, StateVector, _check_amplitudes, _check_capacity, _check_unitary_family, _integer
-from .linalg import _operator_with_residual, _state_with_amps, apply, basis_state, operator_from_json, operator_to_json
+from .linalg import _frozen_state, _operator_with_residual, apply, basis_state, operator_from_json, operator_to_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +133,8 @@ def copy_onto_blank(states: Sequence[StateVector]) -> tuple[tuple[StateVector, .
         if psi.dim != n:
             raise ContractError(f"state dims differ: {n} vs {psi.dim}")
     rows, fidelities = _copy_rows(np.stack([psi.amps for psi in states]))
-    return tuple(_state_with_amps(row) for row in rows), fidelities
+    # _copy_rows has checked each row.
+    return tuple(_frozen_state(row) for row in rows), fidelities
 
 
 def _copy_rows(amps: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:

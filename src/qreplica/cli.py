@@ -23,7 +23,7 @@ from .approx import (
     default_gate_set,
     gate_set_from_json,
 )
-from .automaton import automaton_from_json, automaton_overlap, replicate, translate, Automaton
+from .automaton import automaton_from_json, automaton_overlap, replicate, tape_payload_overlap, translate, Automaton
 from .basis_ops import apply_controlled, controlled_from_json, copy_onto_blank, dense_deviation
 from .errors import ContractError, InputError, QReplicaError
 from .linalg import basis_state, fidelity, operator_from_json, state_from_json, state_to_json, tensor_state
@@ -224,7 +224,8 @@ def _variant_overlap(a: Automaton) -> list[float] | None:
     cells = list(a.tape.cells)
     cells[0] = (cells[0] + 1) % n
     t = Tape(n, tuple(cells), a.tape.head)
-    overlap = automaton_overlap(a, Automaton(t, translate(t, a.registry), a.registry, a.generation))
+    # The variant's translation, not a whole automaton, which would translate it again.
+    overlap = tape_payload_overlap(a.tape, a.payload, t, translate(t, a.registry))
     return [overlap.real, overlap.imag]
 
 

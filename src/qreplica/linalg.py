@@ -112,6 +112,12 @@ def _state_with_amps(amps: np.ndarray) -> StateVector:
     """State on a complex array the program has just built and owns: checked and
     frozen in place, not copied. No one else may hold a writable view of it."""
     _check_amplitudes(amps)
+    return _frozen_state(amps)
+
+
+def _frozen_state(amps: np.ndarray) -> StateVector:
+    """``_state_with_amps`` for amplitudes the program has already checked:
+    frozen in place, not copied, not checked again."""
     amps.setflags(write=False)
     state = object.__new__(StateVector)
     object.__setattr__(state, "amps", amps)

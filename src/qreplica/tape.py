@@ -116,7 +116,10 @@ def joint_tape_evolution(t: Tape, gates, payload: StateVector) -> StateVector:
     n, s, m = t.alphabet_size, t.length, payload.dim
     _check_capacity(n**s * m, "joint space")
     stack = np.stack([gate.entries for gate in gates])
-    joint = np.kron(tape_to_state(t).amps, payload.amps)
+    # The tape's basis state ⊗ payload: the payload in the tape's row of m.
+    joint = np.zeros(n**s * m, dtype=complex)
+    row = tape_index(t) * m
+    joint[row : row + m] = payload.amps
     # Each step writes into the other of two buffers.
     spare = np.empty_like(joint)
     for _ in range(s):

@@ -177,13 +177,18 @@ def test_matches_linear_scan_with_epsilon_met_exactly_at_an_intermediate_level(s
 
 
 def spy_on_admit(patch):
-    """Each batch ``_VisitedNet.admit`` is given and the indices it keeps, in call order."""
+    """Each batch ``_VisitedNet.admit`` is given and the indices it keeps, in call order.
+
+    A batch is copied before it is admitted: staged rows are the net's own, and
+    admitting them moves the kept ones together in place.
+    """
     calls = []
     admit = _VisitedNet.admit
 
     def spy(self, flats):
+        given = flats.copy()
         kept = admit(self, flats)
-        calls.append((flats.copy(), kept))
+        calls.append((given, kept))
         return kept
 
     patch.setattr(_VisitedNet, "admit", spy)

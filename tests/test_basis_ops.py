@@ -265,6 +265,23 @@ class TestCopyOntoBlank:
         with pytest.raises(ContractError, match=message):
             _copy_rows(batch)
 
+    def test_each_output_row_is_checked_once(self, monkeypatch):
+        """``_copy_rows`` checks every output row, and making the rows states
+        checks none of them again: one check per output, one for the blank."""
+        states = [basis_state(3, 0), random_state(3, np.random.default_rng(1))]
+        checked = []
+        check = qreplica.linalg._check_amplitudes
+
+        def spy(amps):
+            checked.append(len(amps))
+            return check(amps)
+
+        monkeypatch.setattr(qreplica.linalg, "_check_amplitudes", spy)
+        monkeypatch.setattr(qreplica.basis_ops, "_check_amplitudes", spy)
+        outs, _ = copy_onto_blank(states)
+        assert checked == [3, 9, 9]
+        assert all(not out.amps.flags.writeable for out in outs)
+
     def test_refuses_an_empty_or_mixed_batch(self):
         with pytest.raises(ContractError, match="at least one state"):
             copy_onto_blank([])

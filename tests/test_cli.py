@@ -357,6 +357,25 @@ class TestReplicate:
         assert cli.main(["replicate", "--automaton", str(path), "--generations", "3", "--output", str(out)]) == 0
         assert out.read_bytes() == (data / f"{golden}.jsonl").read_bytes()
 
+    def test_the_one_cell_variant_is_translated_once(self, tmp_path, monkeypatch):
+        """Five generations of the 240-cell golden automaton: loading it
+        translates its tape twice, and each generation translates the child
+        twice and its one-cell variant once, without building a variant
+        automaton."""
+        calls = []
+        translate = qreplica.automaton.translate
+
+        def spy(t, registry):
+            calls.append(t.length)
+            return translate(t, registry)
+
+        monkeypatch.setattr(qreplica.automaton, "translate", spy)
+        monkeypatch.setattr(cli, "translate", spy)
+        path = Path(__file__).parent / "data" / "replicate_240_head17_automaton.json"
+        out = tmp_path / "report.jsonl"
+        assert cli.main(["replicate", "--automaton", str(path), "--generations", "5", "--output", str(out)]) == 0
+        assert calls == [240] * 17
+
     def test_report_file(self, tmp_path, capsys, automaton_file):
         out = tmp_path / "report.jsonl"
         code = cli.main(

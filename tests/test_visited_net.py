@@ -9,9 +9,12 @@ and at half-cell offsets, where the probed cells change, and B is pushed up
 to the merge radius in a random direction.
 
 The net must also decide a pair at the threshold as an unindexed scan does,
-and the runs it drops before expanding pairs must hold no pair.
+and the runs it drops before expanding pairs must hold no pair. A level built
+in the net's own buffer rows must leave the net as a level given apart does,
+and a deep search must hold each kept product about once.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -370,3 +373,60 @@ def test_a_deep_search_expands_few_pairs_per_admitted_product():
     expanded = sum(int(np.sum(call.args[1])) for call in repeats.call_args_list)
     assert sum(admitted) > 16_000
     assert expanded < 0.1 * sum(admitted)
+
+
+@settings(max_examples=40)
+@given(gates=gate_sets, radius=st.sampled_from([1e-3, 0.05, 0.2]), block=st.sampled_from([1, 3, approx._ROW_BLOCK]))
+def test_staged_rows_and_a_given_array_leave_the_same_net(gates, radius, block):
+    """A level built in the rows ``stage`` hands out, as the search builds it,
+    and the same level given as an array of its own keep what the two-pass
+    admit keeps, and leave the same buffer and index, however the rows are
+    probed and moved in blocks; ``level`` is a view of the kept rows."""
+    dim = gates.shape[1]
+    given_net, staged_net = _VisitedNet(dim, radius), _VisitedNet(dim, radius)
+    with mock.patch.object(approx, "_ROW_BLOCK", block):
+        for flats, (kept, reference) in levels(gates, [given_net, TwoPassNet(dim, radius)]):
+            rows = staged_net.stage(len(flats))
+            assert rows.base is staged_net._buf
+            rows[:] = flats
+            assert np.array_equal(staged_net.admit(rows), kept)
+            assert np.array_equal(kept, reference)
+            held = given_net._count
+            assert staged_net._count == held
+            assert staged_net._buf[:held].tobytes() == given_net._buf[:held].tobytes()
+            assert np.array_equal(staged_net._sorted, given_net._sorted)
+            assert np.array_equal(staged_net._order, given_net._order)
+            cells, _ = staged_net._keys(staged_net._buf[:held])
+            assert np.array_equal(staged_net._sorted, np.sort(cells))
+            assert np.array_equal(cells[staged_net._order], staged_net._sorted)
+            for net in given_net, staged_net:
+                assert net.level.base is net._buf
+                assert net.level.tobytes() == flats[kept].tobytes()
+
+
+def test_a_deep_search_holds_each_kept_product_about_once():
+    """A length-16 search's traced peak stays under 2.5 times the bytes of the
+    products its net keeps. Its buffer holds each kept row once, each level is
+    built in it, and growing it briefly holds the old half too (1.5 times);
+    the probe's and the compaction's scratch are bounded blocks. Building each
+    level apart from the net, and probing a whole level at once, peaked at
+    3.8 times."""
+    kept_rows = []
+    admit = _VisitedNet.admit
+
+    def counting_admit(net, flats):
+        kept = admit(net, flats)
+        kept_rows.append(len(kept))
+        return kept
+
+    target = random_unitary(2, np.random.default_rng(3))
+    with mock.patch.object(_VisitedNet, "admit", counting_admit):
+        tracemalloc.start()
+        try:
+            best_approximation(target, default_gate_set(), 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    row_bytes = 4 * np.dtype(complex).itemsize
+    assert sum(kept_rows) > 60_000
+    assert peak < 2.5 * sum(kept_rows) * row_bytes
