@@ -14,15 +14,17 @@ one BLAS call per parent that yields all its n products, and admitted to the
 net only if another level grows from it. Each call still has dim columns, so
 every product has the bits of its own 2-D matrix product. A level is built in
 the net's own buffer, and the next one grows from a view of the rows the net
-kept, so each product is stored once. The net is indexed
-by a grid on three phase-invariant coordinates of each product. A merge moves
-each coordinate by at most half a cell side, so a product's merge partners lie
-within 2 cells per axis of it (see ``_VisitedNet``). A level joins the index
-before it is probed, so one probe per product finds its partners among the
-kept products and among the earlier products of its own level. A probed run
-that holds only the product itself, or a later product of its level, is
-dropped before its pairs are expanded. The grid only proposes merge
-candidates, and every merge is confirmed with the exact test
+kept, so each product is stored once; the net's keys take 4 bytes where they
+fit, and its scratch comes in blocks of rows or of candidate pairs, so a deep
+search's traced peak is about 1.5 times the kept products' bytes. The net is
+indexed by a grid on three phase-invariant coordinates of each product. A
+merge moves each coordinate by at most half a cell side, so a product's merge
+partners lie within 2 cells per axis of it (see ``_VisitedNet``). A level
+joins the index before it is probed, so one probe per product finds its
+partners among the kept products and among the earlier products of its own
+level. A probed run that holds only the product itself, or a later product of
+its level, is dropped before its pairs are expanded. The grid only proposes
+merge candidates, and every merge is confirmed with the exact test
 |tr(A†B)| >= d(1 − r²). Overlaps within 1e-12 of that threshold are
 recomputed as a matrix-vector product of the net with the new product before
 they decide, so indexing changes which pairs are compared, never which
@@ -159,8 +161,8 @@ _EXACT_MARGIN = 1e-12
 # probed run of one product alone has more), which bounds the search's working
 # memory.
 _PAIR_BLOCK = 1 << 15
-# The net probes, and moves when it drops products, at most this many rows at
-# once, which bounds the scratch a deep level needs.
+# The search screens, and the net keys, probes and compacts, at most this many
+# rows at once, which bounds the scratch a deep level needs.
 _ROW_BLOCK = 1 << 11
 
 
@@ -204,16 +206,19 @@ class _VisitedNet:
     the side is capped at 4, where the grid is a single cell.
 
     Kept products' rows sit in one buffer, in the order they were kept, and
-    the index holds their cell keys, sorted, each with its row. A level's
-    rows are staged behind the kept ones: ``stage`` hands out those buffer
-    rows to be built in place, or ``admit`` copies a level given as its own
-    array there. ``admit`` merges the level's keys into the index, probes
-    each product's 4 runs once, a block of products at a time, then moves the
-    products it keeps together and removes the others, so the net again holds
-    exactly its kept products, and ``level`` is a view of the ones it just
-    kept. Most probed runs hold one key, usually the product's own: a run
-    whose one key is the product itself or a later product of its level pairs
-    it with nothing and is dropped before pairs are expanded.
+    the index holds their cell keys, sorted, each with its row. Keys take 4
+    bytes when every probe run end fits in them (at the default radius for
+    dim ≤ 4), else 8. A level's rows are staged behind the kept ones:
+    ``stage`` hands out those buffer rows to be built in place, or ``admit``
+    copies a level given as its own array there. ``admit`` merges the level's
+    keys into the index, probes each product's 4 runs once, a block of
+    products at a time, compares the candidate pairs a block of pairs at a
+    time, then moves the products it keeps together and removes the others,
+    so the net again holds exactly its kept products, and ``level`` is a view
+    of the ones it just kept. Most probed runs hold one key, usually the
+    product's own: a run whose one key is the product itself or a later
+    product of its level pairs it with nothing and is dropped before pairs
+    are expanded.
     """
 
     def __init__(self, dim: int, radius: float):
@@ -225,54 +230,63 @@ class _VisitedNet:
         reach = np.sqrt(dim * (radius * radius + 1e-12))
         self._side = min(2.0 * reach * (1.0 + 1e-6), 4.0)
         # Shifted coordinates lie in [0, 1.5], so every cell and probe index
-        # lies in [0, span) and span³ < 2⁶³ (the side is at least 2e-6).
+        # lies in [0, span), and every key and probe run end below
+        # (span + 1)³ < 2⁶³ (the side is at least 2e-6).
         span = int(1.5 / self._side) + 4
         self._span = span
+        self._key = np.int32 if (span + 1) ** 3 <= np.iinfo(np.int32).max else np.int64
         # The 8 cells from a base cell are 4 runs of 2 keys along the last axis.
-        self._runs = np.array([0, 1, span, span + 1], dtype=np.int64) * span
+        self._runs = np.array([0, 1, span, span + 1], dtype=self._key) * span
         self._buf = np.empty((256, dim * dim), dtype=complex)
         self._count = 0
         # The last admitted level's kept rows start here.
         self._level = 0
         self._staged: np.ndarray | None = None
         self._order = np.empty(0, dtype=np.intp)
-        self._sorted = np.empty(0, dtype=np.int64)
+        self._sorted = np.empty(0, dtype=self._key)
 
     @property
     def level(self) -> np.ndarray:
         """The kept products of the last admitted level: a view of their rows."""
         return self._buf[self._level : self._count]
 
-    def stage(self, count: int) -> np.ndarray:
+    def stage(self, count: int, reserve: int = 0) -> np.ndarray:
         """The buffer rows for the next ``count`` products, behind the kept ones.
 
-        The buffer may move to grow, which leaves earlier views of it (among
-        them ``level``) stale. Fill the rows, then ``admit`` them.
+        A buffer too small for them grows to hold ``reserve`` rows more, the
+        most the next level may need, and at least doubles. It moves to grow,
+        which leaves earlier views of it (among them ``level``) stale. Fill
+        the rows, then ``admit`` them.
         """
         start, end = self._count, self._count + count
         if end > len(self._buf):
-            grown = np.empty((max(end, 2 * len(self._buf)), self._buf.shape[1]), dtype=complex)
+            grown = np.empty((max(end + reserve, 2 * len(self._buf)), self._buf.shape[1]), dtype=complex)
             grown[:start] = self._buf[:start]
             self._buf = grown
         self._staged = self._buf[start:end]
         return self._staged
 
     def _keys(self, flats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each product's cell key and the key its probe runs start from."""
-        a = flats[:, 0]
-        # A 1×1 product has no off-diagonal entries: its projectors' are 0.
-        b, c = (flats[:, 1], flats[:, self._dim]) if self._dim > 1 else (0.0 * a, 0.0 * a)
-        coords = (
-            a.real * a.real + a.imag * a.imag,
-            a.real * c.real + a.imag * c.imag + 1.0,
-            a.real * b.real + a.imag * b.imag + 1.0,
-        )
-        cell = base = 0
-        for u in coords:
-            scaled = u / self._side
-            cell = cell * self._span + np.floor(scaled).astype(np.int64) + 1
-            base = base * self._span + np.floor(scaled - 0.5).astype(np.int64) + 1
-        return cell, base
+        """Each product's cell key and the key its probe runs start from,
+        computed a row block at a time."""
+        cells, bases = np.empty(len(flats), dtype=self._key), np.empty(len(flats), dtype=self._key)
+        for begin in range(0, len(flats), _ROW_BLOCK):
+            rows = slice(begin, begin + _ROW_BLOCK)
+            a = flats[rows, 0]
+            # A 1×1 product has no off-diagonal entries: its projectors' are 0.
+            b, c = (flats[rows, 1], flats[rows, self._dim]) if self._dim > 1 else (0.0 * a, 0.0 * a)
+            coords = (
+                a.real * a.real + a.imag * a.imag,
+                a.real * c.real + a.imag * c.imag + 1.0,
+                a.real * b.real + a.imag * b.imag + 1.0,
+            )
+            cell = base = 0
+            for u in coords:
+                scaled = u / self._side
+                cell = cell * self._span + np.floor(scaled).astype(self._key) + 1
+                base = base * self._span + np.floor(scaled - 0.5).astype(self._key) + 1
+            cells[rows], bases[rows] = cell, base
+        return cells, bases
 
     def admit(self, flats: np.ndarray) -> np.ndarray:
         """Keep each product no earlier one covers; return the kept indices.
@@ -295,12 +309,17 @@ class _VisitedNet:
         at += np.arange(len(flats))
         stored = np.ones(len(self._sorted) + len(flats), dtype=bool)
         stored[at] = False
-        merged, order = np.empty(len(stored), dtype=np.int64), np.empty(len(stored), dtype=np.intp)
+        # Each old index array goes as soon as its merged one is made, and
+        # what the probe does not need goes before its scratch comes on top.
+        merged = np.empty(len(stored), dtype=self._key)
         merged[at], merged[stored] = cells, self._sorted
-        order[at], order[stored] = by_cell + start, self._order
-        self._sorted, self._order = merged, order
-        # Free what the probe does not need before its scratch comes on top.
-        del cells, stored
+        self._sorted = merged
+        del cells
+        by_cell += start
+        order = np.empty(len(stored), dtype=np.intp)
+        order[at], order[stored] = by_cell, self._order
+        self._order = order
+        del by_cell, at, stored
 
         q, e = self._merges(flats, bases, start)
         within = e >= start
@@ -315,12 +334,19 @@ class _VisitedNet:
         fresh = np.flatnonzero(kept)
         if len(fresh) < len(flats):
             _compact([flats], kept, int(np.argmin(kept)))
-            self._order[at] = (np.cumsum(kept) - 1 + start)[by_cell]
-            gone = at[~kept[by_cell]]
-            held = np.ones(len(merged), dtype=bool)
-            held[gone] = False
-            size = _compact([merged, order], held, int(gone[0]))
-            self._sorted, self._order = merged[:size], order[:size]
+            # The level's index entries are those of rows from start on, found
+            # a block at a time: the kept ones get their new rows, and the
+            # others go.
+            renumbered = np.cumsum(kept) + (start - 1)
+            held = np.ones(len(self._order), dtype=bool)
+            for begin in range(0, len(held), _ROW_BLOCK):
+                rows = self._order[begin : begin + _ROW_BLOCK]
+                mine = np.flatnonzero(rows >= start)
+                level_rows = rows[mine] - start
+                held[begin + mine] = kept[level_rows]
+                rows[mine] = renumbered[level_rows]
+            size = _compact([self._sorted, self._order], held, int(np.argmin(held)))
+            self._sorted, self._order = self._sorted[:size], self._order[:size]
         self._level, self._count = start, start + len(fresh)
         return fresh
 
@@ -335,15 +361,51 @@ class _VisitedNet:
         product of the whole net with the query computes it, so a decision at
         the threshold is the one an unindexed scan of the net makes.
         """
-        sorted_keys, order, store = self._sorted, self._order, self._buf
         if not len(bases):
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        # Queries are visited in base key order, so each run's needles are
-        # sorted, and probed a block at a time. Each probed run that may pair
-        # its query keeps the index of its first key, its key count and its
-        # query.
+        lo, counts, slot_queries = self._probe(bases, start)
+        order, store = self._order, self._buf
+        totals = np.cumsum(counts)
+        found_q, found_e = [], []
+        begin = 0
+        while begin < len(lo):
+            done = totals[begin - 1] if begin else 0
+            stop = int(np.searchsorted(totals, done + _PAIR_BLOCK, "right"))
+            stop = max(stop, begin + 1)
+            block = counts[begin:stop]
+            slot = np.repeat(np.arange(stop - begin), block)
+            skip = np.arange(int(totals[stop - 1] - done)) - (np.cumsum(block) - block)[slot]
+            e = order[lo[begin:stop][slot] + skip]
+            q = slot_queries[begin:stop][slot]
+            # Stored products, and products earlier in the level.
+            earlier = e < start + q
+            q, e = q[earlier], e[earlier]
+            query = flats[q]
+            np.conjugate(query, out=query)
+            overlaps = np.abs(np.einsum("ij,ij->i", store[e], query))
+            # Two rows, because numpy hands a one-row product to a dot
+            # kernel that rounds differently.
+            for i in np.flatnonzero(np.abs(overlaps - self._threshold) <= _EXACT_MARGIN):
+                overlaps[i] = np.abs(store[[e[i], e[i]]] @ query[i])[0]
+            hit = overlaps >= self._threshold
+            found_q.append(q[hit])
+            found_e.append(e[hit])
+            begin = stop
+        if not found_q:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        return np.concatenate(found_q), np.concatenate(found_e)
+
+    def _probe(self, bases: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each probed run that may pair its query: the index of its first key,
+        its key count and its query, for the level starting at row ``start``.
+
+        Queries are visited in base key order, so each run's needles are
+        sorted, and probed a block at a time, whose scratch is freed before
+        the pairs are expanded.
+        """
+        sorted_keys, order = self._sorted, self._order
         by_base = np.argsort(bases)
-        candidates = []
+        parts = []
         for begin in range(0, len(bases), _ROW_BLOCK):
             queries = by_base[begin : begin + _ROW_BLOCK]
             runs = (self._runs[:, None] + bases[queries]).ravel()
@@ -367,44 +429,8 @@ class _VisitedNet:
             # A run of one key whose product is the query or a later product of
             # its level has no pair: drop it before expanding.
             useful = (counts > 1) | (order[lo] < start + slot_queries)
-            candidates.append((lo[useful], counts[useful], slot_queries[useful]))
-        # Rebinding the list frees the blocks' parts once they are joined.
-        if len(candidates) > 1:
-            candidates = [tuple(np.concatenate(parts) for parts in zip(*candidates))]
-        lo, counts, slot_queries = candidates[0]
-        # Conjugate once each query that still has a candidate.
-        has = np.zeros(len(flats), dtype=bool)
-        has[slot_queries] = True
-        rank = np.cumsum(has) - 1
-        conj = flats[has].conj()
-        totals = np.cumsum(counts)
-        found_q, found_e = [], []
-        begin = 0
-        while begin < len(lo):
-            done = totals[begin - 1] if begin else 0
-            stop = int(np.searchsorted(totals, done + _PAIR_BLOCK, "right"))
-            stop = max(stop, begin + 1)
-            block = counts[begin:stop]
-            slot = np.repeat(np.arange(stop - begin), block)
-            skip = np.arange(int(totals[stop - 1] - done)) - (np.cumsum(block) - block)[slot]
-            e = order[lo[begin:stop][slot] + skip]
-            q = slot_queries[begin:stop][slot]
-            # Stored products, and products earlier in the level.
-            earlier = e < start + q
-            q, e = q[earlier], e[earlier]
-            query = conj[rank[q]]
-            overlaps = np.abs(np.einsum("ij,ij->i", store[e], query))
-            # Two rows, because numpy hands a one-row product to a dot
-            # kernel that rounds differently.
-            for i in np.flatnonzero(np.abs(overlaps - self._threshold) <= _EXACT_MARGIN):
-                overlaps[i] = np.abs(store[[e[i], e[i]]] @ query[i])[0]
-            hit = overlaps >= self._threshold
-            found_q.append(q[hit])
-            found_e.append(e[hit])
-            begin = stop
-        if not found_q:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        return np.concatenate(found_q), np.concatenate(found_e)
+            parts.append((lo[useful], counts[useful], slot_queries[useful]))
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _require_positive_finite(name: str, value: float) -> None:
@@ -468,10 +494,9 @@ def best_approximation(
     profile = [best_dist]
     best_at: tuple[int, int] | None = None
     expansions = 1
-    # Per level: for each kept product, its parent's index in the previous
-    # level's kept products and the symbol applied to that parent.
-    parents: list[np.ndarray] = []
-    last_symbols: list[np.ndarray] = []
+    # Per expanded level, each kept product's index c = i·n + l in the level:
+    # parent i among the previous level's kept products, symbol l.
+    kept_levels: list[np.ndarray] = []
 
     for level in range(max_len):
         frontier = net.level
@@ -480,10 +505,15 @@ def best_approximation(
         # Evaluate. Product c = i·n + l is gate l applied after kept product i:
         # the level stays in lexicographic order of symbol sequences.
         expansions += len(frontier) * n
-        screened = np.abs(frontier @ lifted).reshape(-1)
-        # Screened and built overlaps differ by far less than the margin, so this
-        # keeps the best and all near it, built with the expanded level's bits.
+        # Parents are screened a block at a time. Screened and built overlaps
+        # differ by far less than the margin, so this keeps the best and all
+        # near it, built with the expanded level's bits.
+        screened = np.empty((len(frontier), n))
+        for begin in range(0, len(frontier), _ROW_BLOCK):
+            np.abs(frontier[begin : begin + _ROW_BLOCK] @ lifted, out=screened[begin : begin + _ROW_BLOCK])
+        screened = screened.reshape(-1)
         picks = np.flatnonzero(screened >= screened.max() - 2.0 * _EXACT_MARGIN)
+        del screened
         parent_mats = frontier.reshape(-1, dim, dim)[picks // n]
         flats = np.matmul(gate_mats[picks % n], parent_mats).reshape(len(picks), -1)
         overlaps = np.abs(flats @ target_conj)
@@ -497,24 +527,25 @@ def best_approximation(
         # Expand: build and admit only a level that another grows from.
         if level == max_len - 1 or (epsilon is not None and best_dist <= epsilon):
             break
-        _check_capacity(len(frontier) * n * dim * dim, "approximation level")
-        products = net.stage(len(frontier) * n)
+        limit = config.max_dim()
+        _check_capacity(len(frontier) * n * dim * dim, "approximation level", limit)
+        # A buffer that grows makes room for the next level too, if one is
+        # expanded and the capacity check would let it be built.
+        reserve = min(len(frontier) * n * n, limit // (dim * dim)) if level + 2 < max_len else 0
+        products = net.stage(len(frontier) * n, reserve)
         # Staging may have moved the buffer: read the parents where they are
         # now, and let the old buffer go.
         frontier = net.level.reshape(-1, dim, dim)
         np.matmul(gate_rows, frontier, out=products.reshape(len(frontier), n * dim, dim))
-        kept = net.admit(products)
-        parents.append((kept // n).astype(np.int32))
-        last_symbols.append((kept % n).astype(np.int32))
+        kept_levels.append(net.admit(products).astype(np.int32))
 
     best_seq: list[int] = []
     if best_at is not None:
-        level, i = best_at
-        best_seq.append(i % n)
-        i //= n
-        for k in range(level - 1, -1, -1):
-            best_seq.append(int(last_symbols[k][i]))
-            i = parents[k][i]
+        level, c = best_at
+        best_seq.append(c % n)
+        for kept in reversed(kept_levels[:level]):
+            c = int(kept[c // n])
+            best_seq.append(c % n)
     return ApproxResult(
         symbols=tuple(reversed(best_seq)),
         achieved_distance=best_dist,

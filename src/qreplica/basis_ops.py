@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import config
 from .errors import ContractError, InputError
 from .linalg import Operator, StateVector, _check_amplitudes, _check_capacity, _check_unitary_family, _integer
 from .linalg import _frozen_state, _operator_with_residual, apply, basis_state, operator_from_json, operator_to_json
@@ -137,21 +138,23 @@ def copy_onto_blank(states: Sequence[StateVector]) -> tuple[tuple[StateVector, .
     return tuple(_frozen_state(row) for row in rows), fidelities
 
 
-def _copy_rows(amps: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
+def _copy_rows(amps: np.ndarray, limit: int | None = None) -> tuple[np.ndarray, tuple[float, ...]]:
     """The copy check on a (k, n) complex batch, one input state per row.
 
     Returns the cloner's (k, n²) outputs on each row ⊗ |0⟩, frozen, and each
-    output row's fidelity to row ⊗ row. The n²-amplitude joint input and then
-    the cloner's 2·n³ amplitudes are checked against the amplitude budget, so
-    an oversized register is refused before any cloner is built. Every output
-    row passes the unit-norm check of a state, and each fidelity is
-    |⟨out|psi ⊗ psi⟩|² of that row alone, bit for bit what a one-row batch
-    gives.
+    output row's fidelity to row ⊗ row. The blank's n amplitudes, the
+    n²-amplitude joint input and then the cloner's 2·n³ amplitudes are
+    checked against one read of the amplitude budget (``limit``, if the
+    caller has read it), so an oversized register is refused before any
+    cloner is built. Every output row passes the unit-norm check of a state,
+    and each fidelity is |⟨out|psi ⊗ psi⟩|² of that row alone, bit for bit
+    what a one-row batch gives.
     """
     k, n = amps.shape
-    blank = basis_state(n, 0).amps
-    _check_capacity(n * n, "tensor product state")
-    _check_capacity(2 * n**3, "basis cloner")
+    limit = config.max_dim() if limit is None else limit
+    blank = basis_state(n, 0, limit=limit).amps
+    _check_capacity(n * n, "tensor product state", limit)
+    _check_capacity(2 * n**3, "basis cloner", limit)
     c = cloner(n)
     _check_joint_dim(c, n * n)
     # The same elementwise products tensor_state makes, one (n, n) slab per row.

@@ -134,13 +134,14 @@ def _operator_with_residual(entries: np.ndarray, residual: float) -> Operator:
     return op
 
 
-def basis_state(dim: int, index: int) -> StateVector:
-    """The ``index``-th standard unit vector in ``dim`` dimensions."""
+def basis_state(dim: int, index: int, *, limit: int | None = None) -> StateVector:
+    """The ``index``-th standard unit vector in ``dim`` dimensions, within the
+    amplitude budget (``limit``, if the caller has read it already)."""
     if dim < 1:
         raise ContractError(f"dimension must be positive, got {dim}")
     if not 0 <= index < dim:
         raise ContractError(f"basis index {index} out of range for dimension {dim}")
-    _check_capacity(dim, "basis state")
+    _check_capacity(dim, "basis state", limit)
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return _state_with_amps(amps)
@@ -152,8 +153,10 @@ def identity(dim: int) -> Operator:
     return Operator(np.eye(dim, dtype=complex))
 
 
-def _check_capacity(dim: int, what: str) -> None:
-    limit = config.max_dim()
+def _check_capacity(dim: int, what: str, limit: int | None = None) -> None:
+    """Refuse ``dim`` amplitudes over the budget: ``limit`` if the caller has
+    read it once for all its checks, else ``config.max_dim()``."""
+    limit = config.max_dim() if limit is None else limit
     if dim > limit:
         raise CapacityError(f"{what} needs {dim} amplitudes, exceeding MAX_DIM={limit}")
 

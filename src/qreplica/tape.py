@@ -168,11 +168,13 @@ def replicate_tape(t: Tape) -> Tape:
     # s − 1 − head down to cell 0, then from cell s − 1 round to s − head.
     read = t.cells[s - head - 1 :: -1] + t.cells[: s - head - 1 : -1]
     symbols = tuple(dict.fromkeys(read))
-    # Row k is the basis state |symbols[k]⟩; as basis_state does, refuse an n over budget before allocating.
-    _check_capacity(n, "basis state")
+    # Row k is the basis state |symbols[k]⟩; as basis_state does, refuse an n over budget before allocating,
+    # with the one read of the budget that the copy check's own checks use too.
+    limit = config.max_dim()
+    _check_capacity(n, "basis state", limit)
     batch = np.zeros((len(symbols), n), dtype=complex)
     batch[range(len(symbols)), symbols] = 1.0
-    rows, fidelities = _copy_rows(batch)
+    rows, fidelities = _copy_rows(batch, limit=limit)
     for symbol, achieved in zip(symbols, fidelities):
         if achieved < 1.0 - config.REPLICATION_TOL:
             pos = s - 1 - (head + read.index(symbol)) % s

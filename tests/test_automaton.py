@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qreplica.automaton
+from qreplica import config
 from qreplica.approx import GateSet, default_gate_set, sequence_unitary
 from qreplica.automaton import (
     Automaton,
@@ -348,6 +350,15 @@ class TestReplicate:
         Tape(2, (0,))
         ProgramRegistry(parent.registry.gate_set, {})
         assert built == ["Tape", "ProgramRegistry"]
+
+    def test_a_generation_reads_the_amplitude_budget_three_times(self):
+        """Once for the copy check with its input batch, and once for the blank
+        of each of the two translations."""
+        data = Path(__file__).parent / "data" / "replicate_240_head17_automaton.json"
+        parent = automaton_from_json(json.loads(data.read_text()))
+        with mock.patch.object(config, "max_dim", wraps=config.max_dim) as reads:
+            replicate(parent)
+        assert reads.call_count == 3
 
     def test_grandchild_tape_matches_parent(self):
         a = demo_automaton(3)

@@ -357,8 +357,8 @@ class TestReplicateTape:
         their true fidelities: the child holds that readback, the two symbols swapped."""
         swapped = []
 
-        def swapping(batch):
-            rows, fidelities = _copy_rows(batch)
+        def swapping(batch, limit):
+            rows, fidelities = _copy_rows(batch, limit)
             rows = rows.copy()
             rows[[i, j]] = rows[[j, i]]
             swapped.extend(int(np.argmax(np.abs(batch[k]))) for k in (i, j))
@@ -377,8 +377,8 @@ class TestReplicateTape:
         child holds that next symbol wherever the parent holds the i-th."""
         read = []
 
-        def misreading(batch):
-            rows, fidelities = _copy_rows(batch)
+        def misreading(batch, limit):
+            rows, fidelities = _copy_rows(batch, limit)
             rows = rows.copy()
             rows[i] = rows[(i + 1) % len(rows)]
             read.extend(int(np.argmax(np.abs(batch[k]))) for k in (i, (i + 1) % len(rows)))

@@ -11,7 +11,8 @@ to the merge radius in a random direction.
 The net must also decide a pair at the threshold as an unindexed scan does,
 and the runs it drops before expanding pairs must hold no pair. A level built
 in the net's own buffer rows must leave the net as a level given apart does,
-and a deep search must hold each kept product about once.
+its keys must be exact in 4 bytes or, where they do not fit, in 8, and a deep
+search must hold each kept product about once.
 """
 
 import tracemalloc
@@ -376,7 +377,8 @@ def test_a_deep_search_expands_few_pairs_per_admitted_product():
 
 
 @settings(max_examples=40)
-@given(gates=gate_sets, radius=st.sampled_from([1e-3, 0.05, 0.2]), block=st.sampled_from([1, 3, approx._ROW_BLOCK]))
+# At 1e-5 the grid needs 8-byte keys; at the other radii 4 bytes hold them.
+@given(gates=gate_sets, radius=st.sampled_from([1e-5, 1e-3, 0.05, 0.2]), block=st.sampled_from([1, 3, approx._ROW_BLOCK]))
 def test_staged_rows_and_a_given_array_leave_the_same_net(gates, radius, block):
     """A level built in the rows ``stage`` hands out, as the search builds it,
     and the same level given as an array of its own keep what the two-pass
@@ -404,13 +406,61 @@ def test_staged_rows_and_a_given_array_leave_the_same_net(gates, radius, block):
                 assert net.level.tobytes() == flats[kept].tobytes()
 
 
+def test_a_buffer_that_grows_makes_room_for_the_next_level():
+    """The reserve a growing stage is given stays free for the next level, so
+    staging that level moves nothing."""
+    rng = np.random.default_rng(4)
+    net = _VisitedNet(2, 1e-3)
+    net.admit(np.eye(2, dtype=complex).reshape(1, -1))
+    rows = net.stage(1000, 2000)
+    assert len(net._buf) == 1 + 1000 + 2000
+    rows[:] = [random_unitary(2, rng).entries.reshape(-1) for _ in range(1000)]
+    assert len(net.admit(rows)) == 1000
+    grown = net._buf
+    net.stage(2000)
+    assert net._buf is grown
+
+
+@pytest.mark.parametrize(
+    "dim, radius, itemsize",
+    [(1, 1e-3, 4), (2, 1e-3, 4), (4, 1e-3, 4), (2, 3e-4, 8), (2, 1e-5, 8), (4, 1e-6, 8)],
+)
+def test_grid_keys_take_4_bytes_where_every_probe_run_end_fits(dim, radius, itemsize):
+    """Keys and probe runs take 4 bytes when the largest run end fits in them,
+    and keys are the exact integers at the coordinates' extremes."""
+    net = _VisitedNet(dim, radius)
+    assert net._sorted.dtype.itemsize == net._runs.dtype.itemsize == itemsize
+    # Each shifted coordinate lies in [0, 1.5], so no cell or base index exceeds top.
+    top = int(1.5 / net._side) + 1
+    largest = (top * net._span + top) * net._span + top + int(net._runs[-1]) + 2
+    assert largest <= np.iinfo(net._sorted.dtype).max
+    if itemsize == 8:
+        assert largest > np.iinfo(np.int32).max
+    # Coordinates (1, 1, 1), (½, 3/2, 3/2), (½, ½, ½) and (0, 1, 1).
+    extremes = [np.eye(dim, dtype=complex) for _ in range(4)]
+    if dim > 1:
+        for a, block in zip(extremes[1:], [H, np.array([[1, -1], [-1, -1]]) / np.sqrt(2.0), X]):
+            a[:2, :2] = block
+    flats = np.stack(extremes).reshape(len(extremes), -1)
+    cells, bases = net._keys(flats)
+    for flat, cell, base in zip(flats, cells, bases):
+        a, b, c = (flat[0], flat[1], flat[dim]) if dim > 1 else (flat[0], 0.0, 0.0)
+        want_cell = want_base = 0
+        for u in (abs(a) ** 2, (a * np.conj(c)).real + 1.0, (a * np.conj(b)).real + 1.0):
+            want_cell = want_cell * net._span + int(np.floor(u / net._side)) + 1
+            want_base = want_base * net._span + int(np.floor(u / net._side - 0.5)) + 1
+        assert (int(cell), int(base)) == (want_cell, want_base)
+
+
 def test_a_deep_search_holds_each_kept_product_about_once():
-    """A length-16 search's traced peak stays under 2.5 times the bytes of the
-    products its net keeps. Its buffer holds each kept row once, each level is
-    built in it, and growing it briefly holds the old half too (1.5 times);
-    the probe's and the compaction's scratch are bounded blocks. Building each
-    level apart from the net, and probing a whole level at once, peaked at
-    3.8 times."""
+    """A length-16 search's traced peak stays under 1.8 times the bytes of the
+    products its net keeps (1.46 measured). Its buffer holds each kept row
+    once, each level is built in it, and a growing buffer makes room for the
+    next level too; keys take 4 bytes, and the screen's, the keys', the
+    probe's and the compaction's scratch come in blocks of rows. Screening
+    and keying a whole level at once, with 8-byte keys, peaked at 2.02 times;
+    building each level apart from the net, and probing a whole level at
+    once, at 3.8 times."""
     kept_rows = []
     admit = _VisitedNet.admit
 
@@ -429,4 +479,4 @@ def test_a_deep_search_holds_each_kept_product_about_once():
             tracemalloc.stop()
     row_bytes = 4 * np.dtype(complex).itemsize
     assert sum(kept_rows) > 60_000
-    assert peak < 2.5 * sum(kept_rows) * row_bytes
+    assert peak < 1.8 * sum(kept_rows) * row_bytes
