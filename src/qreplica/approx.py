@@ -30,6 +30,17 @@ recomputed as a matrix-vector product of the net with the new product before
 they decide, so indexing changes which pairs are compared, never which
 products merge or what the search returns.
 
+What a level keeps depends only on the gates and the net radius, never on the
+target, so expanded levels are stored between searches, keyed by the gate
+matrices' shape and bytes and the radius. A search evaluates its target
+against the stored levels and builds only those no earlier search expanded:
+a repeated search on one gate set costs its evaluation alone, and returns
+what a search from nothing returns, bit for bit. The process keeps one entry,
+the kept products up to the deepest level searched, each level within the
+capacity check. Searching another gate set or radius releases it, a search
+that raises while it builds a level drops it, and searches hold a lock while
+they read or extend it.
+
 Ties between equally good sequences are broken toward shorter length, then
 lexicographically smaller symbols (in application order), so every search is
 fully deterministic.
@@ -37,6 +48,7 @@ fully deterministic.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,12 +169,9 @@ def product_operator(symbols, g: GateSet) -> Operator:
 # recomputed one product at a time, with the expression that defines the
 # decision, before they decide.
 _EXACT_MARGIN = 1e-12
-# Net lookups gather at most this many candidate pairs at once (unless one
-# probed run of one product alone has more), which bounds the search's working
-# memory.
-_PAIR_BLOCK = 1 << 15
-# The search screens, and the net keys, probes and compacts, at most this many
-# rows at once, which bounds the scratch a deep level needs.
+# The search screens, and the net keys, probes, compares and compacts, at most
+# this many rows or candidate pairs at once (unless one probed run of one
+# product alone has more pairs), which bounds the scratch a deep level needs.
 _ROW_BLOCK = 1 << 11
 
 
@@ -370,7 +379,7 @@ class _VisitedNet:
         begin = 0
         while begin < len(lo):
             done = totals[begin - 1] if begin else 0
-            stop = int(np.searchsorted(totals, done + _PAIR_BLOCK, "right"))
+            stop = int(np.searchsorted(totals, done + _ROW_BLOCK, "right"))
             stop = max(stop, begin + 1)
             block = counts[begin:stop]
             slot = np.repeat(np.arange(stop - begin), block)
@@ -433,6 +442,64 @@ class _VisitedNet:
         return tuple(np.concatenate(part) for part in zip(*parts))
 
 
+class _Levels:
+    """The expanded levels that every search on one gate set and radius shares.
+
+    Level k's kept products are the net's buffer rows ``bounds[k]`` to
+    ``bounds[k + 1]``, and ``kept[k − 1]`` holds each one's index c = i·n + l
+    in level k: parent i among level k − 1's kept products, symbol l.
+    """
+
+    def __init__(self, key, gate_mats: np.ndarray, radius: float):
+        self.key = key
+        n, dim, _ = gate_mats.shape
+        # Rows l·dim to (l + 1)·dim are gate l, so gate_rows @ F is F's n
+        # products in symbol order, from one BLAS call with dim columns.
+        self.gate_rows = gate_mats.reshape(n * dim, dim)
+        self.net = _VisitedNet(dim, radius)
+        self.net.admit(np.eye(dim, dtype=complex).reshape(1, -1))
+        self.bounds = [0, self.net._count]
+        self.kept: list[np.ndarray] = []
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        return self.net._buf[self.bounds[k] : self.bounds[k + 1]]
+
+    def extend(self, reserve: int) -> None:
+        """Build the level after the last stored one in the net's buffer rows,
+        with one BLAS call per parent, admit it, and store what it keeps."""
+        net, dim = self.net, self.net._dim
+        products = net.stage(len(net.level) * (len(self.gate_rows) // dim), reserve)
+        # Staging may have moved the buffer: read the parents where they are now.
+        parents = net.level.reshape(-1, dim, dim)
+        np.matmul(self.gate_rows, parents, out=products.reshape(len(parents), -1, dim))
+        self.kept.append(net.admit(products).astype(np.int32))
+        self.bounds.append(net._count)
+
+
+# The levels of the last gate set and radius searched: one entry per process,
+# read and extended only under the lock.
+_levels: _Levels | None = None
+_levels_lock = threading.Lock()
+
+
+def _forget_levels() -> None:
+    """Drop the stored levels, so the next search builds its own."""
+    global _levels
+    _levels = None
+
+
+def _levels_for(gate_mats: np.ndarray, radius: float) -> _Levels:
+    """The stored levels of these gates and radius, begun afresh if another
+    gate set's are stored. Call with ``_levels_lock`` held."""
+    global _levels
+    key = (gate_mats.shape, gate_mats.tobytes(), radius)
+    if _levels is None or _levels.key != key:
+        # Let the other gate set's levels go before the new net is built.
+        _levels = None
+        _levels = _Levels(key, gate_mats, radius)
+    return _levels
+
+
 def _require_positive_finite(name: str, value: float) -> None:
     if not (np.isfinite(value) and value > 0.0):
         raise ContractError(f"{name} must be positive and finite, got {value}")
@@ -453,10 +520,19 @@ def best_approximation(
     built with one BLAS call per parent, the n gates stacked as rows over it;
     the call keeps dim columns, so each product's bits are those of
     ``gate @ parent`` alone. The calls write the level into the rows the net
-    stages for it, and the parents are ``net.level``, a view of the rows the
-    net kept of the level before. A level of more than MAX_DIM amplitudes is
-    refused with ``CapacityError``. After each evaluated level the best
-    distance so far joins the result's ``profile``.
+    stages for it, and the parents are a view of the rows the net kept of the
+    level before. An expanded level of more than MAX_DIM amplitudes is refused
+    with ``CapacityError``; the budget is read once, at the first level the
+    search expands. After each evaluated level the best distance so far joins
+    the result's ``profile``.
+
+    Expanded levels are stored between searches, one gate set's per process,
+    under a lock (see the module docstring): a search builds only those no
+    earlier search with the same gate matrices and radius expanded, and
+    returns what a search from nothing returns, bit for bit. They hold the
+    kept products up to the deepest level searched, each level within the
+    capacity check. ``expansions`` counts the products the search evaluated,
+    whether they were built in this call or before.
 
     With ``epsilon`` set, the search stops after the first level at which the
     best distance so far reaches epsilon (finishing that level, so the result
@@ -476,9 +552,6 @@ def best_approximation(
 
     dim, n = g.dim, g.n
     gate_mats = np.stack([gate.entries for gate in g.gates])
-    # Rows l·dim to (l + 1)·dim are gate l, so gate_rows @ F is F's n products
-    # in symbol order, from one BLAS call with dim columns.
-    gate_rows = gate_mats.reshape(n * dim, dim)
     target_flat = target.entries.reshape(-1)
     target_conj = target_flat.conj()
     # Column l is conj(G_l†T): a parent F times it is conj(tr((G_l F)†T)).
@@ -488,62 +561,66 @@ def best_approximation(
         overlap = abs(np.vdot(flat, target_flat)) / dim
         return float(np.sqrt(max(0.0, 1.0 - overlap)))
 
-    net = _VisitedNet(dim, radius)
-    net.admit(np.eye(dim, dtype=complex).reshape(1, -1))
-    best_dist = distance_of(net.level[0])
-    profile = [best_dist]
-    best_at: tuple[int, int] | None = None
-    expansions = 1
-    # Per expanded level, each kept product's index c = i·n + l in the level:
-    # parent i among the previous level's kept products, symbol l.
-    kept_levels: list[np.ndarray] = []
+    with _levels_lock:
+        levels = _levels_for(gate_mats, radius)
+        best_dist = distance_of(levels[0][0])
+        profile = [best_dist]
+        best_at: tuple[int, int] | None = None
+        expansions = 1
+        limit: int | None = None
 
-    for level in range(max_len):
-        frontier = net.level
-        if (epsilon is not None and best_dist <= epsilon) or not len(frontier):
-            break
-        # Evaluate. Product c = i·n + l is gate l applied after kept product i:
-        # the level stays in lexicographic order of symbol sequences.
-        expansions += len(frontier) * n
-        # Parents are screened a block at a time. Screened and built overlaps
-        # differ by far less than the margin, so this keeps the best and all
-        # near it, built with the expanded level's bits.
-        screened = np.empty((len(frontier), n))
-        for begin in range(0, len(frontier), _ROW_BLOCK):
-            np.abs(frontier[begin : begin + _ROW_BLOCK] @ lifted, out=screened[begin : begin + _ROW_BLOCK])
-        screened = screened.reshape(-1)
-        picks = np.flatnonzero(screened >= screened.max() - 2.0 * _EXACT_MARGIN)
-        del screened
-        parent_mats = frontier.reshape(-1, dim, dim)[picks // n]
-        flats = np.matmul(gate_mats[picks % n], parent_mats).reshape(len(picks), -1)
-        overlaps = np.abs(flats @ target_conj)
-        # Same length throughout the level, so the first best one wins it, and
-        # it replaces a shorter best only by being strictly better.
-        for j in np.flatnonzero(overlaps >= overlaps.max() - _EXACT_MARGIN):
-            dist = distance_of(flats[j])
-            if dist < best_dist:
-                best_dist, best_at = dist, (level, int(picks[j]))
-        profile.append(best_dist)
-        # Expand: build and admit only a level that another grows from.
-        if level == max_len - 1 or (epsilon is not None and best_dist <= epsilon):
-            break
-        limit = config.max_dim()
-        _check_capacity(len(frontier) * n * dim * dim, "approximation level", limit)
-        # A buffer that grows makes room for the next level too, if one is
-        # expanded and the capacity check would let it be built.
-        reserve = min(len(frontier) * n * n, limit // (dim * dim)) if level + 2 < max_len else 0
-        products = net.stage(len(frontier) * n, reserve)
-        # Staging may have moved the buffer: read the parents where they are
-        # now, and let the old buffer go.
-        frontier = net.level.reshape(-1, dim, dim)
-        np.matmul(gate_rows, frontier, out=products.reshape(len(frontier), n * dim, dim))
-        kept_levels.append(net.admit(products).astype(np.int32))
+        for level in range(max_len):
+            frontier = levels[level]
+            if (epsilon is not None and best_dist <= epsilon) or not len(frontier):
+                break
+            # Evaluate. Product c = i·n + l is gate l applied after kept product
+            # i: the level stays in lexicographic order of symbol sequences.
+            expansions += len(frontier) * n
+            # Parents are screened a block at a time. Screened and built
+            # overlaps differ by far less than the margin, so this keeps the
+            # best and all near it, built with the expanded level's bits.
+            screened = np.empty((len(frontier), n))
+            for begin in range(0, len(frontier), _ROW_BLOCK):
+                np.abs(frontier[begin : begin + _ROW_BLOCK] @ lifted, out=screened[begin : begin + _ROW_BLOCK])
+            screened = screened.reshape(-1)
+            picks = np.flatnonzero(screened >= screened.max() - 2.0 * _EXACT_MARGIN)
+            del screened
+            parent_mats = frontier.reshape(-1, dim, dim)[picks // n]
+            flats = np.matmul(gate_mats[picks % n], parent_mats).reshape(len(picks), -1)
+            overlaps = np.abs(flats @ target_conj)
+            # Same length throughout the level, so the first best one wins it,
+            # and it replaces a shorter best only by being strictly better.
+            for j in np.flatnonzero(overlaps >= overlaps.max() - _EXACT_MARGIN):
+                dist = distance_of(flats[j])
+                if dist < best_dist:
+                    best_dist, best_at = dist, (level, int(picks[j]))
+            profile.append(best_dist)
+            # Expand: only a level that another grows from, and build it only
+            # if no earlier search did.
+            if level == max_len - 1 or (epsilon is not None and best_dist <= epsilon):
+                break
+            if limit is None:
+                limit = config.max_dim()
+            _check_capacity(len(frontier) * n * dim * dim, "approximation level", limit)
+            if len(levels.kept) == level:
+                # A buffer that grows makes room for the next level too, if one
+                # is expanded and the capacity check would let it be built.
+                reserve = min(len(frontier) * n * n, limit // (dim * dim)) if level + 2 < max_len else 0
+                # Let a buffer that staging moves go.
+                del frontier
+                try:
+                    levels.extend(reserve)
+                except BaseException:
+                    # A level admitted in part would mislead every later search.
+                    _forget_levels()
+                    raise
 
+    # Stored kept indices never change, so they are read outside the lock.
     best_seq: list[int] = []
     if best_at is not None:
         level, c = best_at
         best_seq.append(c % n)
-        for kept in reversed(kept_levels[:level]):
+        for kept in reversed(levels.kept[:level]):
             c = int(kept[c // n])
             best_seq.append(c % n)
     return ApproxResult(

@@ -217,6 +217,15 @@ class TestApproximate:
         # A search that meets epsilon before that level never builds it.
         assert best_approximation(g.gates[0], g, 40, epsilon=0.25).symbols == (0,)
 
+    def test_a_search_reads_the_amplitude_budget_once(self):
+        """Once for every level it expands, whether it builds them or finds
+        them stored; a search that expands no level does not read it."""
+        g = default_gate_set()
+        for max_len, want in ((12, 1), (12, 1), (1, 0)):
+            with mock.patch.object(config, "max_dim", wraps=config.max_dim) as reads:
+                best_approximation(X, g, max_len)
+            assert reads.call_count == want
+
     @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
     def test_search_inputs_must_be_positive_and_finite(self, bad):
         g = default_gate_set()

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from qreplica import config
 from qreplica.approx import (
     GateSet,
+    _forget_levels,
     _VisitedNet,
     best_approximation,
     default_gate_set,
@@ -223,6 +224,8 @@ def test_a_level_that_meets_epsilon_is_not_admitted(admitted):
     g = default_gate_set()
     target = random_unitary(2, np.random.default_rng(0))
     length, distance = first_length_that_improves(target, g, range(3, 9))
+    # The warm-up stored levels the search would otherwise not build.
+    _forget_levels()
     admitted.clear()
     best_approximation(target, g, 10, epsilon=distance)
     # The root and the levels of length 1, ..., length − 1.
@@ -266,9 +269,13 @@ def test_each_level_is_built_with_the_per_product_bits(dim, n_gates, clifford_t,
     target = random_unitary(dim, np.random.default_rng(0))
     # The last level built holds at most about 800 products.
     max_len = 12 if n_gates == 1 else 1 + int(np.log(800) / np.log(n_gates))
+    # Each example starts cold: a replayed one would find its levels stored.
+    _forget_levels()
     with pytest.MonkeyPatch.context() as patch:
         calls = spy_on_admit(patch)
         best_approximation(target, g, max_len, net_radius=radius)
+    # The root and every level but the last, unless a level kept nothing.
+    assert len(calls) == max_len or not len(calls[-1][1])
     for (flats, kept), (level, _) in zip(calls, calls[1:]):
         expected = [gate @ parent.reshape(dim, dim) for parent in flats[kept] for gate in gates]
         assert level.tobytes() == np.stack(expected).tobytes()

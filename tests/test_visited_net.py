@@ -12,7 +12,9 @@ The net must also decide a pair at the threshold as an unindexed scan does,
 and the runs it drops before expanding pairs must hold no pair. A level built
 in the net's own buffer rows must leave the net as a level given apart does,
 its keys must be exact in 4 bytes or, where they do not fit, in 8, and a deep
-search must hold each kept product about once.
+search must hold each kept product about once. At a coarse radius, where
+nearly every pair of products is a candidate, the pairs compared at once must
+not outweigh the kept products by much.
 """
 
 import tracemalloc
@@ -24,7 +26,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qreplica import approx
-from qreplica.approx import _EXACT_MARGIN, _VisitedNet, best_approximation, default_gate_set
+from qreplica.approx import _EXACT_MARGIN, GateSet, _VisitedNet, best_approximation, default_gate_set
 from qreplica.linalg import random_unitary
 
 
@@ -342,7 +344,7 @@ def test_merges_pairs_what_an_unfiltered_probe_pairs(gates, radius, block):
     """Dropping a run that holds only the query's own key, or a later product
     of its level, loses no pair, however the pairs are split into blocks."""
     net = UnfilteredProbeNet(gates.shape[1], radius)
-    with mock.patch.object(approx, "_PAIR_BLOCK", block):
+    with mock.patch.object(approx, "_ROW_BLOCK", block):
         for _ in levels(gates, [net], max_len=10):
             pass
 
@@ -350,7 +352,7 @@ def test_merges_pairs_what_an_unfiltered_probe_pairs(gates, radius, block):
 @pytest.mark.parametrize("radius", [1e-3, 0.05])
 def test_the_unfiltered_probe_covers_duplicate_keys_and_multi_key_runs(radius):
     net = UnfilteredProbeNet(2, radius)
-    with mock.patch.object(approx, "_PAIR_BLOCK", 7):
+    with mock.patch.object(approx, "_ROW_BLOCK", 7):
         for _ in levels(np.stack([H, S, T]), [net], max_len=10):
             pass
     assert net.seen["duplicate keys"] and net.seen["multi-key runs"] and net.seen["most blocks"] > 1
@@ -374,6 +376,8 @@ def test_a_deep_search_expands_few_pairs_per_admitted_product():
     expanded = sum(int(np.sum(call.args[1])) for call in repeats.call_args_list)
     assert sum(admitted) > 16_000
     assert expanded < 0.1 * sum(admitted)
+    # Each level's pairs fit one block: one np.repeat per admit at most.
+    assert repeats.call_count <= len(admitted)
 
 
 @settings(max_examples=40)
@@ -452,6 +456,26 @@ def test_grid_keys_take_4_bytes_where_every_probe_run_end_fits(dim, radius, item
         assert (int(cell), int(base)) == (want_cell, want_base)
 
 
+def traced_peak_and_kept_bytes(search):
+    """The traced peak of ``search()`` and the bytes of the products its net kept."""
+    kept_bytes = []
+    admit = _VisitedNet.admit
+
+    def counting_admit(net, flats):
+        kept = admit(net, flats)
+        kept_bytes.append(len(kept) * flats.shape[1] * np.dtype(complex).itemsize)
+        return kept
+
+    with mock.patch.object(_VisitedNet, "admit", counting_admit):
+        tracemalloc.start()
+        try:
+            search()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return peak, sum(kept_bytes)
+
+
 def test_a_deep_search_holds_each_kept_product_about_once():
     """A length-16 search's traced peak stays under 1.8 times the bytes of the
     products its net keeps (1.46 measured). Its buffer holds each kept row
@@ -461,22 +485,19 @@ def test_a_deep_search_holds_each_kept_product_about_once():
     and keying a whole level at once, with 8-byte keys, peaked at 2.02 times;
     building each level apart from the net, and probing a whole level at
     once, at 3.8 times."""
-    kept_rows = []
-    admit = _VisitedNet.admit
-
-    def counting_admit(net, flats):
-        kept = admit(net, flats)
-        kept_rows.append(len(kept))
-        return kept
-
     target = random_unitary(2, np.random.default_rng(3))
-    with mock.patch.object(_VisitedNet, "admit", counting_admit):
-        tracemalloc.start()
-        try:
-            best_approximation(target, default_gate_set(), 16)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    row_bytes = 4 * np.dtype(complex).itemsize
-    assert sum(kept_rows) > 60_000
-    assert peak < 1.8 * sum(kept_rows) * row_bytes
+    peak, kept = traced_peak_and_kept_bytes(lambda: best_approximation(target, default_gate_set(), 16))
+    assert kept > 60_000 * 4 * np.dtype(complex).itemsize
+    assert peak < 1.8 * kept
+
+
+def test_a_coarse_search_compares_pairs_a_row_block_at_a_time():
+    """At d = 4 and r = 0.05 a length-10 search pairs nearly every product with
+    every kept one; gathering at most a row block of pairs at once keeps its
+    traced peak under 8 times the kept products' bytes (5.2 measured). Blocks
+    of 32,768 pairs peaked at 57 times."""
+    g = GateSet(tuple(random_unitary(4, np.random.default_rng(seed)) for seed in (100, 101)))
+    target = random_unitary(4, np.random.default_rng(5))
+    peak, kept = traced_peak_and_kept_bytes(lambda: best_approximation(target, g, 10, net_radius=0.05))
+    assert kept > 1_000 * 16 * np.dtype(complex).itemsize
+    assert peak < 8 * kept
