@@ -36,10 +36,11 @@ matrices' shape and bytes and the radius. A search evaluates its target
 against the stored levels and builds only those no earlier search expanded:
 a repeated search on one gate set costs its evaluation alone, and returns
 what a search from nothing returns, bit for bit. The process keeps one entry,
-the kept products up to the deepest level searched, each level within the
-capacity check. Searching another gate set or radius releases it, a search
-that raises while it builds a level drops it, and searches hold a lock while
-they read or extend it.
+the kept products up to the deepest level searched, in a buffer of at most
+MAX_DIM amplitudes: a search whose levels outgrow it drops them when it
+returns, as does a search that raises, and searching another gate set or
+radius releases them. Searches hold a lock while they read or extend the
+store, so those in separate threads run one at a time, on any gate set.
 
 Ties between equally good sequences are broken toward shorter length, then
 lexicographically smaller symbols (in application order), so every search is
@@ -526,13 +527,15 @@ def best_approximation(
     search expands. After each evaluated level the best distance so far joins
     the result's ``profile``.
 
-    Expanded levels are stored between searches, one gate set's per process,
-    under a lock (see the module docstring): a search builds only those no
-    earlier search with the same gate matrices and radius expanded, and
-    returns what a search from nothing returns, bit for bit. They hold the
-    kept products up to the deepest level searched, each level within the
-    capacity check. ``expansions`` counts the products the search evaluated,
-    whether they were built in this call or before.
+    Expanded levels are stored between searches, one gate set's per process
+    (see the module docstring): a search builds only those no earlier search
+    with the same gate matrices and radius expanded, and returns what a search
+    from nothing returns, bit for bit. They hold the kept products up to the
+    deepest level searched; a search that leaves more than MAX_DIM amplitudes
+    stored, or raises, drops them. The search holds the store's lock from
+    start to end, so searches in separate threads run one after another, even
+    on different gate sets. ``expansions`` counts the products the search
+    evaluated, whether they were built in this call or before.
 
     With ``epsilon`` set, the search stops after the first level at which the
     best distance so far reaches epsilon (finishing that level, so the result
@@ -569,51 +572,60 @@ def best_approximation(
         expansions = 1
         limit: int | None = None
 
-        for level in range(max_len):
-            frontier = levels[level]
-            if (epsilon is not None and best_dist <= epsilon) or not len(frontier):
-                break
-            # Evaluate. Product c = i·n + l is gate l applied after kept product
-            # i: the level stays in lexicographic order of symbol sequences.
-            expansions += len(frontier) * n
-            # Parents are screened a block at a time. Screened and built
-            # overlaps differ by far less than the margin, so this keeps the
-            # best and all near it, built with the expanded level's bits.
-            screened = np.empty((len(frontier), n))
-            for begin in range(0, len(frontier), _ROW_BLOCK):
-                np.abs(frontier[begin : begin + _ROW_BLOCK] @ lifted, out=screened[begin : begin + _ROW_BLOCK])
-            screened = screened.reshape(-1)
-            picks = np.flatnonzero(screened >= screened.max() - 2.0 * _EXACT_MARGIN)
-            del screened
-            parent_mats = frontier.reshape(-1, dim, dim)[picks // n]
-            flats = np.matmul(gate_mats[picks % n], parent_mats).reshape(len(picks), -1)
-            overlaps = np.abs(flats @ target_conj)
-            # Same length throughout the level, so the first best one wins it,
-            # and it replaces a shorter best only by being strictly better.
-            for j in np.flatnonzero(overlaps >= overlaps.max() - _EXACT_MARGIN):
-                dist = distance_of(flats[j])
-                if dist < best_dist:
-                    best_dist, best_at = dist, (level, int(picks[j]))
-            profile.append(best_dist)
-            # Expand: only a level that another grows from, and build it only
-            # if no earlier search did.
-            if level == max_len - 1 or (epsilon is not None and best_dist <= epsilon):
-                break
-            if limit is None:
-                limit = config.max_dim()
-            _check_capacity(len(frontier) * n * dim * dim, "approximation level", limit)
-            if len(levels.kept) == level:
-                # A buffer that grows makes room for the next level too, if one
-                # is expanded and the capacity check would let it be built.
-                reserve = min(len(frontier) * n * n, limit // (dim * dim)) if level + 2 < max_len else 0
-                # Let a buffer that staging moves go.
-                del frontier
-                try:
+        try:
+            for level in range(max_len):
+                frontier = levels[level]
+                if (epsilon is not None and best_dist <= epsilon) or not len(frontier):
+                    break
+                # Evaluate. Product c = i·n + l is gate l applied after kept
+                # product i: the level stays in lexicographic order of symbol
+                # sequences.
+                expansions += len(frontier) * n
+                # Parents are screened a block at a time. Screened and built
+                # overlaps differ by far less than the margin, so this keeps
+                # the best and all near it, built with the expanded level's
+                # bits.
+                screened = np.empty((len(frontier), n))
+                for begin in range(0, len(frontier), _ROW_BLOCK):
+                    np.abs(frontier[begin : begin + _ROW_BLOCK] @ lifted, out=screened[begin : begin + _ROW_BLOCK])
+                screened = screened.reshape(-1)
+                picks = np.flatnonzero(screened >= screened.max() - 2.0 * _EXACT_MARGIN)
+                del screened
+                parent_mats = frontier.reshape(-1, dim, dim)[picks // n]
+                flats = np.matmul(gate_mats[picks % n], parent_mats).reshape(len(picks), -1)
+                overlaps = np.abs(flats @ target_conj)
+                # Same length throughout the level, so the first best one wins
+                # it, and it replaces a shorter best only by being strictly
+                # better.
+                for j in np.flatnonzero(overlaps >= overlaps.max() - _EXACT_MARGIN):
+                    dist = distance_of(flats[j])
+                    if dist < best_dist:
+                        best_dist, best_at = dist, (level, int(picks[j]))
+                profile.append(best_dist)
+                # Expand: only a level that another grows from, and build it
+                # only if no earlier search did.
+                if level == max_len - 1 or (epsilon is not None and best_dist <= epsilon):
+                    break
+                if limit is None:
+                    limit = config.max_dim()
+                _check_capacity(len(frontier) * n * dim * dim, "approximation level", limit)
+                if len(levels.kept) == level:
+                    # A buffer that grows makes room for the next level too, if
+                    # one is expanded and the capacity check would let it be
+                    # built.
+                    reserve = min(len(frontier) * n * n, limit // (dim * dim)) if level + 2 < max_len else 0
+                    # Let a buffer that staging moves go.
+                    del frontier
                     levels.extend(reserve)
-                except BaseException:
-                    # A level admitted in part would mislead every later search.
-                    _forget_levels()
-                    raise
+        except BaseException:
+            # A level admitted in part would mislead every later search, so
+            # whatever raised, the store goes.
+            _forget_levels()
+            raise
+        # The store keeps no more amplitudes than one expanded level may hold:
+        # a deeper search's levels go when it returns.
+        if limit is not None and levels.net._buf.size > limit:
+            _forget_levels()
 
     # Stored kept indices never change, so they are read outside the lock.
     best_seq: list[int] = []

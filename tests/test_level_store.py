@@ -144,11 +144,33 @@ def test_a_warm_store_refuses_an_expanded_level_beyond_max_dim(monkeypatch):
     approx._forget_levels()
     best_approximation(H, g, 12)
     monkeypatch.setenv(config.ENV_MAX_DIM, "64")
-    assert len(best_approximation(X, g, 5).symbols) == 4
     with pytest.raises(CapacityError, match=r"^approximation level needs 128 amplitudes, exceeding MAX_DIM=64$"):
         best_approximation(X, g, 6)
+    assert approx._levels is None
+    assert len(best_approximation(X, g, 5).symbols) == 4
     monkeypatch.delenv(config.ENV_MAX_DIM)
     assert outcome(best_approximation(X, g, 12)) == want
+
+
+def test_a_search_keeps_no_more_amplitudes_stored_than_max_dim(monkeypatch):
+    """A length-12 search expands at most 1,022 × 2 products of 4 amplitudes
+    (8,176), within a budget of 10,000, but stores 4,085 kept products
+    (16,340 amplitudes): it returns the cold result and leaves nothing
+    stored. A store that a lowered budget no longer holds goes with the next
+    search that expands a level."""
+    g = default_gate_set()
+    want = cold(g, X, 12)
+    assert approx._levels.net._count == 4_085
+    approx._forget_levels()
+    monkeypatch.setenv(config.ENV_MAX_DIM, "10000")
+    assert outcome(best_approximation(X, g, 12)) == want
+    assert approx._levels is None
+    monkeypatch.delenv(config.ENV_MAX_DIM)
+    best_approximation(X, g, 12)
+    assert approx._levels is not None
+    monkeypatch.setenv(config.ENV_MAX_DIM, "10000")
+    best_approximation(H, g, 3)
+    assert approx._levels is None
 
 
 def test_a_build_that_raises_leaves_no_levels_stored():
