@@ -6,13 +6,21 @@ at a time, with a visited-net prune: two partial products within
 one found first, which is always the shorter or lexicographically earlier one.
 The net radius is therefore the documented completeness resolution: a negative
 answer certifies that nothing in the visited net beat the requested precision,
-not that no sequence exists.
+not that no sequence exists. It bounds by how much one can: a merge swaps a
+product for a kept one within r, and multiplying both by a gate keeps their
+distance, so every product of length ℓ ≤ L, where L is the last length the
+search evaluated, lies within (ℓ − 1)·r of one it evaluated. No product of
+length ≤ L is closer to the target than the achieved distance minus (L − 1)·r.
 
-Each level is ranked from its parents, since |tr((G F)†T)| = |⟨F, G†T⟩|, and
-only its best products are built to decide it. A level is built in full, with
-one BLAS call per parent that yields all its n products, and admitted to the
-net only if another level grows from it. Each call still has dim columns, so
-every product has the bits of its own 2-D matrix product. A level is built in
+Each level is ranked from its parents, since |tr((G F)†T)| = |⟨F, G†T⟩|: one
+real matrix product per block of parents, their entries taken as (re, im)
+pairs, screens every product of the level. Only products within twice the
+exact margin of the screened best are built to decide it; a lone one is the
+level's best, and of several, those whose built overlaps lie near the best
+are compared by exact distance. A level is built in full, with one BLAS call
+per parent that yields all its n products, and admitted to the net only if
+another level grows from it. Each call still has dim columns, so every
+product has the bits of its own 2-D matrix product. A level is built in
 the net's own buffer, and the next one grows from a view of the rows the net
 kept, so each product is stored once; the net's keys take 4 bytes where they
 fit, and its scratch comes in blocks of rows or of candidate pairs, so a deep
@@ -49,6 +57,7 @@ fully deterministic.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -134,15 +143,24 @@ def rotation_y(theta: float) -> Operator:
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
 
+@functools.cache
+def _default_rotations() -> tuple[Operator, Operator]:
+    theta = 2.0 * np.pi * GOLDEN_RATIO
+    return rotation_z(theta), rotation_x(theta)
+
+
 def default_gate_set() -> GateSet:
     """Two single-qubit rotations by an irrational multiple of 2π.
 
     Irrational rotation angles about two orthogonal axes generate a dense
     subgroup of the single-qubit unitaries, so products of these two gates
     can come arbitrarily close to any target given enough length.
+
+    The rotations are built once per process: operators are read-only, and
+    their unitarity residual depends on no tolerance. The gate set is built
+    on each call, so it is checked against the UNITARY_TOL then in force.
     """
-    theta = 2.0 * np.pi * GOLDEN_RATIO
-    return GateSet((rotation_z(theta), rotation_x(theta)), ("rz", "rx"))
+    return GateSet(_default_rotations(), ("rz", "rx"))
 
 
 def sequence_unitary(t: Tape, g: GateSet) -> Operator:
@@ -540,7 +558,8 @@ def best_approximation(
     With ``epsilon`` set, the search stops after the first level at which the
     best distance so far reaches epsilon (finishing that level, so the result
     is the shortest such sequence). A result still above epsilon certifies
-    failure only up to the net's resolution.
+    failure only up to the net's resolution: no product of length ≤ L, the
+    last length evaluated, is closer than its distance minus (L − 1)·r.
     """
     if not target.is_unitary:
         raise ContractError("approximation target must be unitary")
@@ -557,8 +576,12 @@ def best_approximation(
     gate_mats = np.stack([gate.entries for gate in g.gates])
     target_flat = target.entries.reshape(-1)
     target_conj = target_flat.conj()
-    # Column l is conj(G_l†T): a parent F times it is conj(tr((G_l F)†T)).
-    lifted = (gate_mats.conj().transpose(0, 2, 1) @ target.entries).reshape(n, -1).conj().T
+    # Columns 2l and 2l + 1 are G_l†T and i·G_l†T as (re, im) pairs: a
+    # parent F's entries as (re, im) pairs times them are the real and
+    # imaginary parts of ⟨F, G_l†T⟩, whose magnitude is |tr((G_l F)†T)|.
+    lifted = gate_mats.conj().transpose(0, 2, 1) @ target.entries
+    lifted = np.stack((lifted, 1j * lifted), axis=1).reshape(2 * n, -1)
+    lifted = np.ascontiguousarray(lifted.view(np.float64).T)
 
     def distance_of(flat: np.ndarray) -> float:
         overlap = abs(np.vdot(flat, target_flat)) / dim
@@ -581,23 +604,29 @@ def best_approximation(
                 # product i: the level stays in lexicographic order of symbol
                 # sequences.
                 expansions += len(frontier) * n
-                # Parents are screened a block at a time. Screened and built
-                # overlaps differ by far less than the margin, so this keeps
-                # the best and all near it, built with the expanded level's
-                # bits.
-                screened = np.empty((len(frontier), n))
+                # Parents are screened a block at a time, in real arithmetic.
+                # Screened and built overlaps differ by far less than the
+                # margin, so this keeps the best and all near it, built with
+                # the expanded level's bits.
+                screened = np.empty(len(frontier) * n)
+                rows = frontier.view(np.float64)
                 for begin in range(0, len(frontier), _ROW_BLOCK):
-                    np.abs(frontier[begin : begin + _ROW_BLOCK] @ lifted, out=screened[begin : begin + _ROW_BLOCK])
-                screened = screened.reshape(-1)
+                    parts = (rows[begin : begin + _ROW_BLOCK] @ lifted).reshape(-1)
+                    parts *= parts
+                    np.add(parts[0::2], parts[1::2], out=screened[begin * n : (begin + _ROW_BLOCK) * n])
+                np.sqrt(screened, out=screened)
                 picks = np.flatnonzero(screened >= screened.max() - 2.0 * _EXACT_MARGIN)
-                del screened
+                del screened, rows
                 parent_mats = frontier.reshape(-1, dim, dim)[picks // n]
                 flats = np.matmul(gate_mats[picks % n], parent_mats).reshape(len(picks), -1)
-                overlaps = np.abs(flats @ target_conj)
                 # Same length throughout the level, so the first best one wins
                 # it, and it replaces a shorter best only by being strictly
-                # better.
-                for j in np.flatnonzero(overlaps >= overlaps.max() - _EXACT_MARGIN):
+                # better. A lone pick is the level's best.
+                near = range(1)
+                if len(picks) > 1:
+                    overlaps = np.abs(flats @ target_conj)
+                    near = np.flatnonzero(overlaps >= overlaps.max() - _EXACT_MARGIN)
+                for j in near:
                     dist = distance_of(flats[j])
                     if dist < best_dist:
                         best_dist, best_at = dist, (level, int(picks[j]))

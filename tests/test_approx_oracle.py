@@ -3,7 +3,7 @@
 ``linear_scan_search`` is a test-only reference: every product is compared
 against every kept product with one matrix-vector product, and each level is
 expanded pair by pair. Both searches must return the same symbols, the same
-expansion count and a bit-equal distance.
+expansion count, a bit-equal distance and a bit-equal profile.
 
 Coarse net radii are where merges with the kept net and between products of
 one level actually happen; the Clifford+T gate sets produce exact duplicates
@@ -34,7 +34,7 @@ from qreplica.linalg import Operator, random_unitary
 
 
 def linear_scan_search(target, g, max_len, *, epsilon=None, net_radius=None):
-    """Return (symbols, achieved_distance, expansions) of the best product."""
+    """Return (symbols, achieved_distance, expansions, profile) of the best product."""
     radius = config.DEFAULT_NET_RADIUS if net_radius is None else float(net_radius)
     dim = g.dim
     gate_mats = [gate.entries for gate in g.gates]
@@ -50,6 +50,7 @@ def linear_scan_search(target, g, max_len, *, epsilon=None, net_radius=None):
     best_seq = ()
     best_dist = distance_of(root.reshape(-1))
     expansions = 1
+    profile = [best_dist]
     frontier = [(root, ())]
     for _ in range(max_len):
         if epsilon is not None and best_dist <= epsilon:
@@ -69,10 +70,13 @@ def linear_scan_search(target, g, max_len, *, epsilon=None, net_radius=None):
                     net.append(flat)
                     next_frontier.append((product, seq + (l,)))
         frontier = next_frontier
-    return best_seq, best_dist, expansions
+        profile.append(best_dist)
+    return best_seq, best_dist, expansions, profile
 
 
 X = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
+Y = Operator(np.array([[0, -1j], [1j, 0]]))
+Z = Operator(np.diag([1.0, -1.0]))
 H = Operator(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0))
 S = Operator(np.diag([1.0, 1j]))
 T = Operator(np.diag([1.0, np.exp(0.25j * np.pi)]))
@@ -82,11 +86,12 @@ MAX_LEN = {(2, 2): 9, (2, 3): 6, (3, 2): 7, (3, 3): 5, (4, 2): 7, (4, 3): 5}
 
 
 def assert_same_search(target, g, max_len, **kwargs):
-    symbols, distance, expansions = linear_scan_search(target, g, max_len, **kwargs)
+    symbols, distance, expansions, profile = linear_scan_search(target, g, max_len, **kwargs)
     result = best_approximation(target, g, max_len, **kwargs)
     assert result.symbols == symbols
     assert result.expansions == expansions
     assert result.achieved_distance.hex() == distance.hex()
+    assert [d.hex() for d in result.profile] == [d.hex() for d in profile]
 
 
 @settings(max_examples=40)
@@ -127,7 +132,11 @@ def test_matches_linear_scan_on_clifford_t(gates, radius, target):
 
 def test_level_best_is_chosen_by_exact_distance():
     """Two gates one ulp apart often tie in exact distance while their batched
-    overlaps rank them the other way round; the first gate must still win."""
+    overlaps rank them the other way round; the first gate must still win.
+
+    X and Y are trace-orthogonal to Z, so every overlap of the first level
+    with Z is 0: the whole level lies within the margin of its best, the
+    screen's floor is below 0, and every product is decided exactly."""
     rng = np.random.default_rng(3)
     for _ in range(200):
         first = random_unitary(2, rng).entries
@@ -135,6 +144,8 @@ def test_level_best_is_chosen_by_exact_distance():
         second[0, 0] = np.nextafter(first[0, 0].real, 2.0) + 1j * first[0, 0].imag
         target = random_unitary(2, rng)
         assert_same_search(target, GateSet((Operator(first), Operator(second))), 1)
+    for max_len in (1, 3):
+        assert_same_search(Z, GateSet((X, Y)), max_len)
 
 
 @pytest.mark.parametrize("gates", [(H, S, T), (X, H), (rotation_z(0.4), rotation_x(1.3))])
@@ -314,6 +325,30 @@ def test_a_search_in_a_turned_basis_reproduces_the_profile(seed):
         reached = np.sqrt(max(0.0, 1.0 - abs(np.trace(product.conj().T @ target.entries)) / 2.0))
         assert abs(reached - plain.achieved_distance) <= TURNED_TOL
 
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    max_len=st.integers(1, 8),
+    radius=st.sampled_from([0.02, 0.05, 0.1, 0.2]),
+)
+def test_no_product_beats_the_result_by_more_than_the_merges_allow(seed, max_len, radius):
+    """What a miss certifies: every product of length ℓ ≤ L, where L is the
+    last length the search evaluated, lies within (ℓ − 1)·r of one it
+    evaluated, so no product of length ≤ L is closer to the target than the
+    achieved distance minus (L − 1)·r. Checked against all of them."""
+    target, g = random_unitary(2, np.random.default_rng(seed)), default_gate_set()
+    result = best_approximation(target, g, max_len, net_radius=radius)
+    evaluated = len(result.profile) - 1
+    gates = np.stack([gate.entries for gate in g.gates])
+    level = np.eye(2, dtype=complex)[None]
+    closest = 1.0
+    for _ in range(evaluated):
+        level = np.matmul(gates[None], level[:, None]).reshape(-1, 2, 2)
+        overlaps = np.abs(np.einsum("kij,ij->k", level.conj(), target.entries)) / 2.0
+        closest = min(closest, float(np.sqrt(np.maximum(0.0, 1.0 - overlaps)).min()))
+    assert closest >= result.achieved_distance - (evaluated - 1) * radius - 1e-12
 
 PINNED_AT_LENGTH_14 = {
     "flip_x": (X, (1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 1, 1), 32559, "0x1.a6b8a1ace12d5p-6"),

@@ -265,6 +265,16 @@ class TestApprox:
         assert line.startswith("error: approximation level needs ")
         assert line.endswith(" amplitudes, exceeding MAX_DIM=4096")
 
+    def test_a_tolerance_override_refuses_the_default_gates_in_its_call_only(self, capsys, x_target_file):
+        """The default rotations are built once per process, but each call
+        checks the gate set against the UNITARY_TOL that call sets."""
+        argv = ["approx", "--target", x_target_file, "--epsilon", "0.1", "--max-len", "4"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        line = one_error_line(capsys, [*argv, "--set-tolerance", "UNITARY_TOL=1e-300"])
+        assert line == "error: gate 0 is not unitary (residual 1.250e-17)"
+        assert cli.main(argv) == 0
+
     def test_bad_epsilon(self, capsys, x_target_file):
         assert cli.main(["approx", "--target", x_target_file, "--epsilon", "0", "--max-len", "4"]) == 2
 
