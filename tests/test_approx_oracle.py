@@ -326,7 +326,6 @@ def test_a_search_in_a_turned_basis_reproduces_the_profile(seed):
         assert abs(reached - plain.achieved_distance) <= TURNED_TOL
 
 
-
 @settings(max_examples=30)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -349,6 +348,7 @@ def test_no_product_beats_the_result_by_more_than_the_merges_allow(seed, max_len
         overlaps = np.abs(np.einsum("kij,ij->k", level.conj(), target.entries)) / 2.0
         closest = min(closest, float(np.sqrt(np.maximum(0.0, 1.0 - overlaps)).min()))
     assert closest >= result.achieved_distance - (evaluated - 1) * radius - 1e-12
+
 
 PINNED_AT_LENGTH_14 = {
     "flip_x": (X, (1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 1, 1), 32559, "0x1.a6b8a1ace12d5p-6"),
