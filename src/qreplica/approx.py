@@ -57,7 +57,6 @@ fully deterministic.
 
 from __future__ import annotations
 
-import functools
 import threading
 from dataclasses import dataclass
 
@@ -143,24 +142,15 @@ def rotation_y(theta: float) -> Operator:
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
 
-@functools.cache
-def _default_rotations() -> tuple[Operator, Operator]:
-    theta = 2.0 * np.pi * GOLDEN_RATIO
-    return rotation_z(theta), rotation_x(theta)
-
-
 def default_gate_set() -> GateSet:
     """Two single-qubit rotations by an irrational multiple of 2π.
 
     Irrational rotation angles about two orthogonal axes generate a dense
     subgroup of the single-qubit unitaries, so products of these two gates
     can come arbitrarily close to any target given enough length.
-
-    The rotations are built once per process: operators are read-only, and
-    their unitarity residual depends on no tolerance. The gate set is built
-    on each call, so it is checked against the UNITARY_TOL then in force.
     """
-    return GateSet(_default_rotations(), ("rz", "rx"))
+    theta = 2.0 * np.pi * GOLDEN_RATIO
+    return GateSet((rotation_z(theta), rotation_x(theta)), ("rz", "rx"))
 
 
 def sequence_unitary(t: Tape, g: GateSet) -> Operator:

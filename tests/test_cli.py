@@ -266,8 +266,8 @@ class TestApprox:
         assert line.endswith(" amplitudes, exceeding MAX_DIM=4096")
 
     def test_a_tolerance_override_refuses_the_default_gates_in_its_call_only(self, capsys, x_target_file):
-        """The default rotations are built once per process, but each call
-        checks the gate set against the UNITARY_TOL that call sets."""
+        """Each call checks the default gate set against the UNITARY_TOL that
+        call sets, and the override does not outlive its call."""
         argv = ["approx", "--target", x_target_file, "--epsilon", "0.1", "--max-len", "4"]
         assert cli.main(argv) == 0
         capsys.readouterr()
