@@ -12,13 +12,11 @@ distance, so every product of length ℓ ≤ L, where L is the last length the
 search evaluated, lies within (ℓ − 1)·r of one it evaluated. No product of
 length ≤ L is closer to the target than the achieved distance minus (L − 1)·r.
 
-Each level is ranked from its parents, since |tr((G F)†T)| = |⟨F, G†T⟩|: one
-real matrix product per block of parents, their entries taken as (re, im)
-pairs, screens every product of the level. Only products within twice the
-exact margin of the screened best are built to decide it; a lone one is the
-level's best, and of several, those whose built overlaps lie near the best
-are compared by exact distance. A level is built in full, with one BLAS call
-per parent that yields all its n products, and admitted to the net only if
+Each level is ranked from its parents, since |tr((G F)†T)| = |⟨F, G†T⟩|, and
+only its best products are built to decide it: a lone one is the level's
+best, and of several, those whose built overlaps lie near the best are
+compared by exact distance. A level is built in full, with one BLAS call per
+parent that yields all its n products, and admitted to the net only if
 another level grows from it. Each call still has dim columns, so every
 product has the bits of its own 2-D matrix product. A level is built in
 the net's own buffer, and the next one grows from a view of the rows the net
@@ -566,12 +564,8 @@ def best_approximation(
     gate_mats = np.stack([gate.entries for gate in g.gates])
     target_flat = target.entries.reshape(-1)
     target_conj = target_flat.conj()
-    # Columns 2l and 2l + 1 are G_l†T and i·G_l†T as (re, im) pairs: a
-    # parent F's entries as (re, im) pairs times them are the real and
-    # imaginary parts of ⟨F, G_l†T⟩, whose magnitude is |tr((G_l F)†T)|.
-    lifted = gate_mats.conj().transpose(0, 2, 1) @ target.entries
-    lifted = np.stack((lifted, 1j * lifted), axis=1).reshape(2 * n, -1)
-    lifted = np.ascontiguousarray(lifted.view(np.float64).T)
+    # Column l is conj(G_l†T): a parent F times it is conj(tr((G_l F)†T)).
+    lifted = (gate_mats.conj().transpose(0, 2, 1) @ target.entries).reshape(n, -1).conj().T
 
     def distance_of(flat: np.ndarray) -> float:
         overlap = abs(np.vdot(flat, target_flat)) / dim
@@ -594,19 +588,16 @@ def best_approximation(
                 # product i: the level stays in lexicographic order of symbol
                 # sequences.
                 expansions += len(frontier) * n
-                # Parents are screened a block at a time, in real arithmetic.
-                # Screened and built overlaps differ by far less than the
-                # margin, so this keeps the best and all near it, built with
-                # the expanded level's bits.
-                screened = np.empty(len(frontier) * n)
-                rows = frontier.view(np.float64)
+                # Parents are screened a block at a time. Screened and built
+                # overlaps differ by far less than the margin, so this keeps
+                # the best and all near it, built with the expanded level's
+                # bits.
+                screened = np.empty((len(frontier), n))
                 for begin in range(0, len(frontier), _ROW_BLOCK):
-                    parts = (rows[begin : begin + _ROW_BLOCK] @ lifted).reshape(-1)
-                    parts *= parts
-                    np.add(parts[0::2], parts[1::2], out=screened[begin * n : (begin + _ROW_BLOCK) * n])
-                np.sqrt(screened, out=screened)
+                    np.abs(frontier[begin : begin + _ROW_BLOCK] @ lifted, out=screened[begin : begin + _ROW_BLOCK])
+                screened = screened.reshape(-1)
                 picks = np.flatnonzero(screened >= screened.max() - 2.0 * _EXACT_MARGIN)
-                del screened, rows
+                del screened
                 parent_mats = frontier.reshape(-1, dim, dim)[picks // n]
                 flats = np.matmul(gate_mats[picks % n], parent_mats).reshape(len(picks), -1)
                 # Same length throughout the level, so the first best one wins
