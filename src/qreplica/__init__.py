@@ -7,7 +7,6 @@ from .approx import (
     GateSet,
     best_approximation,
     default_gate_set,
-    sequence_unitary,
 )
 from .automaton import (
     Automaton,

@@ -1,56 +1,34 @@
 """Approximating a target unitary by products drawn from a finite gate set.
 
-The search is breadth-first enumeration of gate products, one length (level)
-at a time, with a visited-net prune: two partial products within
-``net_radius`` of each other (phase-invariant distance) are merged, keeping the
-one found first, which is always the shorter or lexicographically earlier one.
-The net radius is therefore the documented completeness resolution: a negative
-answer certifies that nothing in the visited net beat the requested precision,
-not that no sequence exists. It bounds by how much one can: a merge swaps a
-product for a kept one within r, and multiplying both by a gate keeps their
-distance, so every product of length ℓ ≤ L, where L is the last length the
-search evaluated, lies within (ℓ − 1)·r of one it evaluated. No product of
+The search enumerates gate products breadth first, one length (level) at a
+time, with a visited-net prune: two partial products within ``net_radius`` of
+each other (phase-invariant distance) are merged, keeping the one found first,
+which is always the shorter or lexicographically earlier one. The net's grid
+index (see ``_VisitedNet``) only proposes merge candidates, and every merge is
+confirmed with the exact test |tr(A†B)| >= d(1 − r²), so indexing never
+changes which products merge or what the search returns.
+
+The net radius r is therefore the documented completeness resolution: a
+negative answer certifies that nothing in the visited net beat the requested
+precision, not that no sequence exists. It bounds by how much one can: a merge
+swaps a product for a kept one within r, and multiplying both by a gate keeps
+their distance, so every product of length ℓ ≤ L, where L is the last length
+the search evaluated, lies within (ℓ − 1)·r of one it evaluated. No product of
 length ≤ L is closer to the target than the achieved distance minus (L − 1)·r.
-
-Each level is ranked from its parents, since |tr((G F)†T)| = |⟨F, G†T⟩|, and
-only its best products are built to decide it: a lone one is the level's
-best, and of several, those whose built overlaps lie near the best are
-compared by exact distance. A level is built in full, with one BLAS call per
-parent that yields all its n products, and admitted to the net only if
-another level grows from it. Each call still has dim columns, so every
-product has the bits of its own 2-D matrix product. A level is built in
-the net's own buffer, and the next one grows from a view of the rows the net
-kept, so each product is stored once; the net's keys take 4 bytes where they
-fit, and its scratch comes in blocks of rows or of candidate pairs, so a deep
-search's traced peak is about 1.5 times the kept products' bytes. The net is
-indexed by a grid on three phase-invariant coordinates of each product. A
-merge moves each coordinate by at most half a cell side, so a product's merge
-partners lie within 2 cells per axis of it (see ``_VisitedNet``). A level
-joins the index before it is probed, so one probe per product finds its
-partners among the kept products and among the earlier products of its own
-level. A probed run that holds only the product itself, or a later product of
-its level, is dropped before its pairs are expanded. The grid only proposes
-merge candidates, and every merge is confirmed with the exact test
-|tr(A†B)| >= d(1 − r²). Overlaps within 1e-12 of that threshold are
-recomputed as a matrix-vector product of the net with the new product before
-they decide, so indexing changes which pairs are compared, never which
-products merge or what the search returns.
-
-What a level keeps depends only on the gates and the net radius, never on the
-target, so expanded levels are stored between searches, keyed by the gate
-matrices' shape and bytes and the radius. A search evaluates its target
-against the stored levels and builds only those no earlier search expanded:
-a repeated search on one gate set costs its evaluation alone, and returns
-what a search from nothing returns, bit for bit. The process keeps one entry,
-the kept products up to the deepest level searched, in a buffer of at most
-MAX_DIM amplitudes: a search whose levels outgrow it drops them when it
-returns, as does a search that raises, and searching another gate set or
-radius releases them. Searches hold a lock while they read or extend the
-store, so those in separate threads run one at a time, on any gate set.
 
 Ties between equally good sequences are broken toward shorter length, then
 lexicographically smaller symbols (in application order), so every search is
 fully deterministic.
+
+What a level keeps depends only on the gates and the net radius, never on the
+target, so expanded levels are stored between searches, keyed by the gate
+matrices and the radius. A search builds only the levels no earlier search
+expanded, and returns what a search from nothing returns, bit for bit. The
+process keeps one gate set's levels: a search that leaves more than MAX_DIM
+amplitudes stored drops them when it returns, as does a search that raises,
+and searching another gate set or radius releases them. Searches hold a lock
+while they read or extend the store, so those in separate threads run one at
+a time, on any gate set.
 """
 
 from __future__ import annotations
@@ -62,7 +40,7 @@ import numpy as np
 
 from . import config
 from .errors import ContractError, InputError
-from .linalg import Operator, _check_capacity, _check_unitary_family, _integer, apply_sequence, operator_from_json, operator_to_json
+from .linalg import Operator, _check_capacity, _check_unitary_family, _integer, operator_from_json, operator_to_json
 from .tape import Tape, format_tape
 
 
@@ -132,11 +110,6 @@ def rotation_x(theta: float) -> Operator:
     return Operator(np.array([[c, -1j * s], [-1j * s, c]]))
 
 
-def rotation_y(theta: float) -> Operator:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return Operator(np.array([[c, -s], [s, c]]))
-
-
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
 
@@ -149,27 +122,6 @@ def default_gate_set() -> GateSet:
     """
     theta = 2.0 * np.pi * GOLDEN_RATIO
     return GateSet((rotation_z(theta), rotation_x(theta)), ("rz", "rx"))
-
-
-def sequence_unitary(t: Tape, g: GateSet) -> Operator:
-    """Ordered product selected by the tape: cell 1's gate acts first."""
-    if t.alphabet_size != g.n:
-        raise ContractError(
-            f"tape alphabet {t.alphabet_size} does not match gate set size {g.n}"
-        )
-    product = product_operator(reversed(t.cells), g)
-    if not product.unitary_residual <= max(config.UNITARY_TOL, t.length * 1e-13):
-        raise ContractError(
-            f"product of {t.length} gates drifted from unitarity "
-            f"(residual {product.unitary_residual:.3e})"
-        )
-    return product
-
-
-def product_operator(symbols, g: GateSet) -> Operator:
-    """Product of gates in application order; the empty product is the identity."""
-    matrices = [gate.entries for gate in g.gates]
-    return Operator(apply_sequence(matrices, symbols, np.eye(g.dim, dtype=complex)))
 
 
 # Batched overlaps this close to a merge threshold or to a level's best are
@@ -222,19 +174,11 @@ class _VisitedNet:
     the side is capped at 4, where the grid is a single cell.
 
     Kept products' rows sit in one buffer, in the order they were kept, and
-    the index holds their cell keys, sorted, each with its row. Keys take 4
-    bytes when every probe run end fits in them (at the default radius for
-    dim ≤ 4), else 8. A level's rows are staged behind the kept ones:
-    ``stage`` hands out those buffer rows to be built in place, or ``admit``
-    copies a level given as its own array there. ``admit`` merges the level's
-    keys into the index, probes each product's 4 runs once, a block of
-    products at a time, compares the candidate pairs a block of pairs at a
-    time, then moves the products it keeps together and removes the others,
-    so the net again holds exactly its kept products, and ``level`` is a view
-    of the ones it just kept. Most probed runs hold one key, usually the
-    product's own: a run whose one key is the product itself or a later
-    product of its level pairs it with nothing and is dropped before pairs
-    are expanded.
+    the index holds their cell keys, sorted, each with its row. ``stage``
+    hands out the buffer rows behind the kept ones for a level to be built
+    in place, and ``admit`` keeps the level's products that no earlier one
+    covers, so the net again holds exactly its kept products, and ``level``
+    is a view of the ones it just kept.
     """
 
     def __init__(self, dim: int, radius: float):
@@ -522,26 +466,17 @@ def best_approximation(
 ) -> ApproxResult:
     """Best product of length ≤ max_len, by level-by-level enumeration.
 
-    Each level is evaluated from its parents, then expanded (built in full and
-    admitted to the visited net) only if another level follows. A level is
-    built with one BLAS call per parent, the n gates stacked as rows over it;
-    the call keeps dim columns, so each product's bits are those of
-    ``gate @ parent`` alone. The calls write the level into the rows the net
-    stages for it, and the parents are a view of the rows the net kept of the
-    level before. An expanded level of more than MAX_DIM amplitudes is refused
-    with ``CapacityError``; the budget is read once, at the first level the
-    search expands. After each evaluated level the best distance so far joins
-    the result's ``profile``.
+    Each level is evaluated from its parents, and the best distance so far
+    joins the result's ``profile``. A level is expanded (built in full and
+    admitted to the visited net) only if another level follows, and each of
+    its products has the bits of ``gate @ parent`` alone. An expanded level
+    of more than MAX_DIM amplitudes is refused with ``CapacityError``; the
+    budget is read once, at the first level the search expands.
 
-    Expanded levels are stored between searches, one gate set's per process
-    (see the module docstring): a search builds only those no earlier search
-    with the same gate matrices and radius expanded, and returns what a search
-    from nothing returns, bit for bit. They hold the kept products up to the
-    deepest level searched; a search that leaves more than MAX_DIM amplitudes
-    stored, or raises, drops them. The search holds the store's lock from
-    start to end, so searches in separate threads run one after another, even
-    on different gate sets. ``expansions`` counts the products the search
-    evaluated, whether they were built in this call or before.
+    Expanded levels are shared with earlier searches on the same gate
+    matrices and radius (see the module docstring). ``expansions`` counts the
+    products the search evaluated, whether they were built in this call or
+    before.
 
     With ``epsilon`` set, the search stops after the first level at which the
     best distance so far reaches epsilon (finishing that level, so the result

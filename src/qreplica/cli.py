@@ -260,7 +260,7 @@ def cmd_replicate(args) -> int:
             )
         )
         current = child
-    _emit("\n".join(lines), args.report or args.output)
+    _emit("\n".join(lines), args.output)
     return 0
 
 
@@ -328,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replicate", parents=[common], help="run replication cycles, reporting each generation")
     p.add_argument("--automaton", required=True, help="automaton JSON (inline or path)")
     p.add_argument("--generations", type=int, required=True, help="number of replication cycles")
-    p.add_argument("--report", default=None, help="write the JSON-lines report here")
 
     p = sub.add_parser("verify", parents=[common], help="run the full property suite and print a table")
     p.add_argument("--json", action="store_true", help="emit JSON lines instead of the table")

@@ -39,10 +39,6 @@ class CriterionResult:
     passed: bool
     details: dict
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"criterion {self.number}: {status}  {self.name}"
-
 
 def criterion_basis_cloning() -> CriterionResult:
     """Every basis state of every small basis is copied with fidelity 1."""

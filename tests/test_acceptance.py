@@ -1,7 +1,7 @@
 """Acceptance gate: every advertised property at its stated tolerance.
 
 Criteria 1-8 run once (module-scoped) through the same functions the
-``verify`` subcommand uses; each test prints its own pass/fail line.
+``verify`` subcommand uses; each test prints its own pass/fail table.
 Criterion 9 runs the CLI twice and demands byte-identical output; the golden
 test compares that output with the report checked in under ``data/``.
 """
@@ -23,7 +23,7 @@ def results():
 
 def check(results, number):
     result = results[number]
-    print(result.line())
+    print(verify.render_table([result]))
     assert result.passed, f"criterion {number} failed: {result.details}"
     return result
 

@@ -9,8 +9,10 @@ Coarse net radii are where merges with the kept net and between products of
 one level actually happen; the Clifford+T gate sets produce exact duplicates
 and overlaps exactly at the merge threshold.
 
-A search is also checked against itself in another basis, which holds up to
-rounding on any host, whatever bits its BLAS kernel gives.
+A search is also checked against itself in another basis and under a
+relabelling of the gates, and against every default-gate product to length
+12. These hold up to rounding, or to the miss bound, on any host, whatever
+bits its BLAS kernel gives.
 """
 
 import numpy as np
@@ -25,12 +27,12 @@ from qreplica.approx import (
     _VisitedNet,
     best_approximation,
     default_gate_set,
-    product_operator,
     rotation_x,
-    rotation_y,
     rotation_z,
 )
 from qreplica.linalg import Operator, random_unitary
+
+from gate_products import gate_product, rotation_y
 
 
 def linear_scan_search(target, g, max_len, *, epsilon=None, net_radius=None):
@@ -292,6 +294,12 @@ def test_each_level_is_built_with_the_per_product_bits(dim, n_gates, clifford_t,
         assert level.tobytes() == np.stack(expected).tobytes()
 
 
+def distances_to(products, target):
+    """sqrt(max(0, 1 − |tr(A†T)|/2)) of each 2×2 product A."""
+    overlaps = np.abs(np.einsum("kij,ij->k", products.conj(), target.entries)) / 2.0
+    return np.sqrt(np.maximum(0.0, 1.0 - overlaps))
+
+
 # A search and the same search in another basis give profiles this close:
 # each entry is √(1 − |tr|/dim) of products of up to 12 gates, rounded
 # differently in each basis. The largest gap over 200 seeds at length 12 was
@@ -321,8 +329,7 @@ def test_a_search_in_a_turned_basis_reproduces_the_profile(seed):
     assert len(other.profile) == len(plain.profile)
     assert np.max(np.abs(np.subtract(other.profile, plain.profile))) <= TURNED_TOL
     if other.symbols != plain.symbols:
-        product = product_operator(other.symbols, g).entries
-        reached = np.sqrt(max(0.0, 1.0 - abs(np.trace(product.conj().T @ target.entries)) / 2.0))
+        reached = distances_to(gate_product(other.symbols, g).entries[None], target)[0]
         assert abs(reached - plain.achieved_distance) <= TURNED_TOL
 
 
@@ -345,9 +352,71 @@ def test_no_product_beats_the_result_by_more_than_the_merges_allow(seed, max_len
     closest = 1.0
     for _ in range(evaluated):
         level = np.matmul(gates[None], level[:, None]).reshape(-1, 2, 2)
-        overlaps = np.abs(np.einsum("kij,ij->k", level.conj(), target.entries)) / 2.0
-        closest = min(closest, float(np.sqrt(np.maximum(0.0, 1.0 - overlaps)).min()))
+        closest = min(closest, float(distances_to(level, target).min()))
     assert closest >= result.achieved_distance - (evaluated - 1) * radius - 1e-12
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_gates=st.sampled_from([2, 3]),
+    max_len=st.integers(1, 10),
+    data=st.data(),
+)
+def test_permuting_the_gates_permutes_the_result(seed, n_gates, max_len, data):
+    """Relabelling the gates by π asks the same question. Stacked gate rows
+    change place under π, so results are compared by tolerance, not bits.
+
+    At a radius where nothing merges, both searches evaluate every product:
+    their profiles agree up to rounding, and each result's symbols are π of
+    the other's unless the best is a tie, whose other sequence then reaches
+    the same distance. At the default radius each profile entry at length ℓ
+    lies within (ℓ − 1)·r above the unpruned best, so the profiles agree to
+    that bound."""
+    rng = np.random.default_rng(seed)
+    g = GateSet(tuple(random_unitary(2, rng) for _ in range(n_gates)))
+    target = random_unitary(2, rng)
+    perm = data.draw(st.permutations(range(n_gates)))
+    permuted = GateSet(tuple(g.gates[p] for p in perm))
+
+    plain = best_approximation(target, g, max_len, net_radius=1e-9)
+    other = best_approximation(target, permuted, max_len, net_radius=1e-9)
+    assert plain.expansions == other.expansions == sum(n_gates**k for k in range(max_len + 1))
+    assert np.max(np.abs(np.subtract(other.profile, plain.profile))) <= TURNED_TOL
+    mapped = tuple(perm[s] for s in other.symbols)
+    if mapped != plain.symbols:
+        reached = distances_to(gate_product(mapped, g).entries[None], target)[0]
+        assert abs(reached - plain.achieved_distance) <= TURNED_TOL
+
+    radius = config.DEFAULT_NET_RADIUS
+    plain = best_approximation(target, g, max_len)
+    other = best_approximation(target, permuted, max_len)
+    assert len(other.profile) == len(plain.profile) == max_len + 1
+    for length, (a, b) in enumerate(zip(plain.profile, other.profile)):
+        assert abs(a - b) <= max(length - 1, 0) * radius + TURNED_TOL
+
+
+# Fixed before the test first ran: a target that misses is recorded, not redrawn.
+EXHAUSTIVE_SEED = 2026
+
+
+def test_profile_matches_every_default_gate_product_to_length_12():
+    """All 8,191 default-gate products of length ≤ 12, built level by level
+    as G_l @ parent: at every length the search's profile is the best of
+    them within 1e-9, for 20 Haar targets."""
+    g = default_gate_set()
+    gates = np.stack([gate.entries for gate in g.gates])
+    levels = [np.eye(2, dtype=complex)[None]]
+    for _ in range(12):
+        levels.append(np.matmul(gates[None], levels[-1][:, None]).reshape(-1, 2, 2))
+    assert sum(len(level) for level in levels) == 8191
+    rng = np.random.default_rng(EXHAUSTIVE_SEED)
+    for index in range(20):
+        target = random_unitary(2, rng)
+        brute = np.minimum.accumulate([distances_to(level, target).min() for level in levels])
+        profile = best_approximation(target, g, 12).profile
+        gaps = np.abs(np.subtract(profile, brute))
+        assert gaps[1:].max() <= 1e-9, (index, gaps.tolist())
 
 
 PINNED_AT_LENGTH_14 = {

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qreplica.automaton
 from qreplica import config
-from qreplica.approx import GateSet, default_gate_set, sequence_unitary
+from qreplica.approx import GateSet, default_gate_set
 from qreplica.automaton import (
     Automaton,
     ProgramRegistry,
@@ -46,6 +46,8 @@ from qreplica.linalg import (
     random_unitary,
 )
 from qreplica.tape import Tape, format_tape, run_tape, tape_to_state
+
+from gate_products import gate_product
 
 
 def registry_from_tape(t, parent):
@@ -254,13 +256,14 @@ class TestScattering:
                 ref = apply_controlled(cond, data)
                 np.testing.assert_allclose(out.amps, ref.amps, atol=1e-9)
 
-    def test_multi_symbol_program_matches_sequence_unitary(self, rng):
+    def test_multi_symbol_program_matches_the_gate_product(self, rng):
+        """Digits apply least significant first, as tape cells do."""
         reg = demo_registry(2)
         g = reg.gate_set
         program = tape_to_state(Tape(4, (3, 1, 2)))
         psi = random_state(4, rng)
         out = scattering_apply(program, psi, reg)
-        ref = sequence_unitary(Tape(4, (3, 1, 2)), g).entries @ psi.amps
+        ref = gate_product((2, 1, 3), g).entries @ psi.amps
         np.testing.assert_allclose(out.amps, ref, atol=1e-12)
 
     def test_superposed_program_refused(self, rng):

@@ -389,11 +389,20 @@ class TestReplicate:
     def test_report_file(self, tmp_path, capsys, automaton_file):
         out = tmp_path / "report.jsonl"
         code = cli.main(
-            ["replicate", "--automaton", automaton_file, "--generations", "2", "--report", str(out)]
+            ["replicate", "--automaton", automaton_file, "--generations", "2", "--output", str(out)]
         )
         assert code == 0
         lines = [json.loads(line) for line in out.read_text().strip().splitlines()]
         assert len(lines) == 3  # header + 2 generations
+
+    def test_report_option_is_gone(self, tmp_path, capsys, automaton_file):
+        """The global --output is the one option that names the report file."""
+        out = tmp_path / "report.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["replicate", "--automaton", automaton_file, "--generations", "2", "--report", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
     def test_integrity_failure_maps_to_exit_3(self, capsys, automaton_file, monkeypatch):
         def broken(parent):

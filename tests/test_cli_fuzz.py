@@ -246,9 +246,6 @@ def test_replicate(data, output_dir):
     draw = data.draw
     argv = ["replicate", f"--automaton={document(draw, automata())}"]
     argv.append(f"--generations={sometimes(draw, st.integers(1, 3), st.integers(-1, 0))}")
-    if draw(st.booleans()):
-        report = sometimes(draw, st.just("r.jsonl"), st.just("missing/r.jsonl"))
-        argv.append(f"--report={output_dir / report}")
     check(argv + common_options(draw, output_dir))
 
 

@@ -26,11 +26,12 @@ from qreplica.approx import (
     best_approximation,
     default_gate_set,
     rotation_x,
-    rotation_y,
     rotation_z,
 )
 from qreplica.errors import CapacityError
 from qreplica.linalg import Operator, random_unitary
+
+from gate_products import rotation_y
 
 X = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
 H = Operator(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0))
