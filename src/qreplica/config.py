@@ -17,7 +17,7 @@ NORM_TOL = 1e-10
 # Leaves headroom for composed products of length ~10^3 in double precision.
 UNITARY_TOL = 1e-10
 
-# Structured (block) application must agree with dense materialization to this.
+# A computation must agree with its dense or literal reference to this.
 STRUCT_DENSE_TOL = 1e-12
 
 # Non-basis inputs to the basis cloner must miss the perfect-copy target by

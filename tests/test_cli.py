@@ -6,13 +6,14 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import qreplica
 import qreplica.cli as cli
-from qreplica import basis_ops, config
+from qreplica import approx, basis_ops, config
 from qreplica.approx import GateSet, default_gate_set, gate_set_to_json
 from qreplica.automaton import automaton_to_json, demo_automaton
 from qreplica.errors import ReplicationIntegrityError
@@ -265,15 +266,22 @@ class TestApprox:
         assert line.startswith("error: approximation level needs ")
         assert line.endswith(" amplitudes, exceeding MAX_DIM=4096")
 
-    def test_a_tolerance_override_refuses_the_default_gates_in_its_call_only(self, capsys, x_target_file):
-        """Each call checks the default gate set against the UNITARY_TOL that
-        call sets, and the override does not outlive its call."""
-        argv = ["approx", "--target", x_target_file, "--epsilon", "0.1", "--max-len", "4"]
-        assert cli.main(argv) == 0
-        capsys.readouterr()
-        line = one_error_line(capsys, [*argv, "--set-tolerance", "UNITARY_TOL=1e-300"])
-        assert line == "error: gate 0 is not unitary (residual 1.250e-17)"
-        assert cli.main(argv) == 0
+    def test_a_tolerance_override_applies_to_its_call_only(self, capsys, tmp_path):
+        """Each call builds and checks the default gate set under the
+        UNITARY_TOL that call sets, and the override does not outlive its call.
+        The target's residual A†A − I is about 1e-12 on every BLAS kernel, so
+        UNITARY_TOL=1e-13 refuses it where the default accepts it."""
+        s = 1.0 + 5e-13
+        target = tmp_path / "scaled_x.json"
+        target.write_text(json.dumps(operator_to_json(Operator(np.array([[0, s], [s, 0]])))))
+        argv = ["approx", "--target", str(target), "--epsilon", "0.1", "--max-len", "4"]
+        with mock.patch.object(approx, "_check_unitary_family", wraps=approx._check_unitary_family) as spy:
+            assert cli.main(argv) == 0
+            capsys.readouterr()
+            line = one_error_line(capsys, [*argv, "--set-tolerance", "UNITARY_TOL=1e-13"])
+            assert cli.main(argv) == 0
+        assert line == "error: approximation target must be unitary"
+        assert spy.call_count == 3
 
     def test_bad_epsilon(self, capsys, x_target_file):
         assert cli.main(["approx", "--target", x_target_file, "--epsilon", "0", "--max-len", "4"]) == 2
