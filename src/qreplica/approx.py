@@ -40,7 +40,7 @@ import numpy as np
 
 from . import config
 from .errors import ContractError, InputError
-from .linalg import Operator, _check_capacity, _check_unitary_family, _integer, operator_from_json, operator_to_json
+from .linalg import Operator, _check_capacity, _check_unitary_family, _integer, _operators_from_json, operator_to_json
 from .tape import Tape, format_tape
 
 
@@ -610,7 +610,7 @@ def gate_set_from_json(obj) -> GateSet:
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise InputError("gate set: 'labels' must be a list of strings")
     try:
-        result = GateSet(tuple(operator_from_json(g) for g in gates), tuple(labels))
+        result = GateSet(_operators_from_json(gates), tuple(labels))
         dim = _integer(obj.get("dim", result.dim), "dim")
     except ContractError as exc:
         raise InputError(f"gate set: {exc}") from exc

@@ -19,7 +19,7 @@ import numpy as np
 from . import config
 from .errors import ContractError, InputError
 from .linalg import Operator, StateVector, _check_amplitudes, _check_capacity, _check_unitary_family, _integer
-from .linalg import _frozen_state, _operator_with_residual, apply, basis_state, operator_from_json, operator_to_json
+from .linalg import _frozen_state, _operator_with_residual, _operators_from_json, apply, basis_state, operator_to_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +203,7 @@ def controlled_from_json(obj) -> ControlledOperator:
     if not isinstance(blocks, list) or not blocks:
         raise InputError("controlled operator: 'blocks' must be a non-empty list")
     try:
-        result = ControlledOperator(tuple(operator_from_json(b) for b in blocks))
+        result = ControlledOperator(_operators_from_json(blocks))
         for key, expected in (("control_dim", result.control_dim), ("target_dim", result.target_dim)):
             value = _integer(obj.get(key, expected), key)
             if value != expected:

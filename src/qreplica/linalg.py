@@ -15,6 +15,7 @@ safe to share across concurrent readers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -69,11 +70,8 @@ class Operator:
         if not np.all(np.isfinite(arr)):
             raise ContractError("operator entries must be finite")
         arr.setflags(write=False)
-        # Entries near the float limit overflow A†A to a residual no tolerance accepts.
-        with np.errstate(over="ignore", invalid="ignore"):
-            residual = float(np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0]))))
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "unitary_residual", residual)
+        object.__setattr__(self, "unitary_residual", float(_unitary_residuals(arr)))
 
     @property
     def dim(self) -> int:
@@ -82,6 +80,15 @@ class Operator:
     @property
     def is_unitary(self) -> bool:
         return self.unitary_residual <= config.UNITARY_TOL
+
+
+# Entries near the float limit overflow A†A to a residual no tolerance accepts.
+@np.errstate(over="ignore", invalid="ignore")
+def _unitary_residuals(a: np.ndarray):
+    """max|A†A − I| of each square matrix A on the last two axes of ``a``: one
+    value for a matrix, one per member for a (k, d, d) stack. A stack's product
+    makes the same BLAS call per member as a single matrix's, so the same bits."""
+    return np.max(np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1])), axis=(-2, -1))
 
 
 def _check_amplitudes(arr: np.ndarray) -> None:
@@ -126,7 +133,7 @@ def _frozen_state(amps: np.ndarray) -> StateVector:
 
 def _operator_with_residual(entries: np.ndarray, residual: float) -> Operator:
     """Operator from a finite complex square array the caller owns (frozen, not
-    copied) and its max|A†A − I|, derived by the caller from structure."""
+    copied) and its max|A†A − I|, computed by the caller or derived from structure."""
     entries.setflags(write=False)
     op = object.__new__(Operator)
     object.__setattr__(op, "entries", entries)
@@ -292,6 +299,29 @@ def _complex_from_json(value, where: str) -> complex:
     return complex(_require_number(value[0], where), _require_number(value[1], where))
 
 
+def _pairs_array(nest: list, shape: tuple[int, ...]) -> np.ndarray | None:
+    """A list nest of [re, im] pairs, ``shape`` deep, as a fresh complex array
+    with the values float() gives; None unless every level above the pairs holds
+    lists and every pair is a list or tuple of two ints or floats within float
+    range. Callers then read the nest value by value, which names the first bad
+    value, or reads what this refuses but the per-value reader accepts (such as
+    subclasses of list or float), as before.
+
+    The type scan comes first: np.array would turn True into 1.0 and "1.5" into 1.5.
+    """
+    for depth, allowed in enumerate([{list}] * (len(shape) - 1) + [{list, tuple}, {int, float}]):
+        items = iter(nest)
+        for _ in range(depth):
+            items = itertools.chain.from_iterable(items)
+        if not set(map(type, items)) <= allowed:
+            return None
+    try:
+        values = np.array(nest, dtype=np.float64)
+    except (ValueError, OverflowError):  # a ragged nest; an int beyond float range
+        return None
+    return values.view(np.complex128).reshape(shape) if values.shape == (*shape, 2) else None
+
+
 def _pair(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
@@ -311,9 +341,11 @@ def state_from_json(obj) -> StateVector:
         raise InputError(f"state.dim: expected a positive integer, got {dim!r}")
     if not isinstance(amps, list) or len(amps) != dim:
         raise InputError(f"state.amps: expected a list of {dim} amplitude pairs")
-    values = [_complex_from_json(v, f"state.amps[{i}]") for i, v in enumerate(amps)]
+    values = _pairs_array(amps, (dim,))
+    if values is None:
+        values = np.array([_complex_from_json(v, f"state.amps[{i}]") for i, v in enumerate(amps)], dtype=complex)
     try:
-        return StateVector(np.array(values, dtype=complex))
+        return _state_with_amps(values)
     except ContractError as exc:
         raise InputError(f"state: {exc}") from exc
 
@@ -333,13 +365,30 @@ def operator_from_json(obj) -> Operator:
         raise InputError(f"operator.dim: expected a positive integer, got {dim!r}")
     if not isinstance(rows, list) or len(rows) != dim:
         raise InputError(f"operator.rows: expected {dim} rows")
-    matrix = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise InputError(f"operator.rows[{i}]: expected {dim} entries")
-        for j, value in enumerate(row):
-            matrix[i, j] = _complex_from_json(value, f"operator.rows[{i}][{j}]")
+    matrix = _pairs_array(rows, (dim, dim))
+    if matrix is None:
+        matrix = np.empty((dim, dim), dtype=complex)
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != dim:
+                raise InputError(f"operator.rows[{i}]: expected {dim} entries")
+            for j, value in enumerate(row):
+                matrix[i, j] = _complex_from_json(value, f"operator.rows[{i}][{j}]")
     try:
         return Operator(matrix)
     except ContractError as exc:
         raise InputError(f"operator: {exc}") from exc
+
+
+def _operators_from_json(objs: list) -> tuple[Operator, ...]:
+    """operator_from_json on each document of a non-empty list. Documents of one
+    dim are decoded as one (k, d, d) stack and certified by one batched residual;
+    any other list, or one the stack decoder refuses or holding a non-finite
+    value, is read member by member, so an error names the member and value it
+    names there."""
+    dim = objs[0].get("dim") if type(objs[0]) is dict else None
+    if all(type(obj) is dict and type(obj.get("dim")) is int and obj["dim"] == dim for obj in objs):
+        stack = _pairs_array([obj.get("rows") for obj in objs], (len(objs), dim, dim))
+        if stack is not None and np.isfinite(stack).all():
+            # Each member owns its entries, so no member keeps the family's stack alive.
+            return tuple(_operator_with_residual(a.copy(), r) for a, r in zip(stack, _unitary_residuals(stack)))
+    return tuple(operator_from_json(obj) for obj in objs)
