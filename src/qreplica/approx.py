@@ -177,8 +177,7 @@ class _VisitedNet:
     the index holds their cell keys, sorted, each with its row. ``stage``
     hands out the buffer rows behind the kept ones for a level to be built
     in place, and ``admit`` keeps the level's products that no earlier one
-    covers, so the net again holds exactly its kept products, and ``level``
-    is a view of the ones it just kept.
+    covers, so the net again holds exactly its kept products.
     """
 
     def __init__(self, dim: int, radius: float):
@@ -199,24 +198,17 @@ class _VisitedNet:
         self._runs = np.array([0, 1, span, span + 1], dtype=self._key) * span
         self._buf = np.empty((256, dim * dim), dtype=complex)
         self._count = 0
-        # The last admitted level's kept rows start here.
-        self._level = 0
         self._staged: np.ndarray | None = None
         self._order = np.empty(0, dtype=np.intp)
         self._sorted = np.empty(0, dtype=self._key)
-
-    @property
-    def level(self) -> np.ndarray:
-        """The kept products of the last admitted level: a view of their rows."""
-        return self._buf[self._level : self._count]
 
     def stage(self, count: int, reserve: int = 0) -> np.ndarray:
         """The buffer rows for the next ``count`` products, behind the kept ones.
 
         A buffer too small for them grows to hold ``reserve`` rows more, the
         most the next level may need, and at least doubles. It moves to grow,
-        which leaves earlier views of it (among them ``level``) stale. Fill
-        the rows, then ``admit`` them.
+        which leaves earlier views of it stale. Fill the rows, then ``admit``
+        them.
         """
         start, end = self._count, self._count + count
         if end > len(self._buf):
@@ -307,7 +299,7 @@ class _VisitedNet:
                 rows[mine] = renumbered[level_rows]
             size = _compact([self._sorted, self._order], held, int(np.argmin(held)))
             self._sorted, self._order = self._sorted[:size], self._order[:size]
-        self._level, self._count = start, start + len(fresh)
+        self._count = start + len(fresh)
         return fresh
 
     def _merges(self, flats: np.ndarray, bases: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
@@ -418,10 +410,10 @@ class _Levels:
     def extend(self, reserve: int) -> None:
         """Build the level after the last stored one in the net's buffer rows,
         with one BLAS call per parent, admit it, and store what it keeps."""
-        net, dim = self.net, self.net._dim
-        products = net.stage(len(net.level) * (len(self.gate_rows) // dim), reserve)
+        net, dim, last = self.net, self.net._dim, len(self.bounds) - 2
+        products = net.stage(len(self[last]) * (len(self.gate_rows) // dim), reserve)
         # Staging may have moved the buffer: read the parents where they are now.
-        parents = net.level.reshape(-1, dim, dim)
+        parents = self[last].reshape(-1, dim, dim)
         np.matmul(self.gate_rows, parents, out=products.reshape(len(parents), -1, dim))
         self.kept.append(net.admit(products).astype(np.int32))
         self.bounds.append(net._count)

@@ -19,7 +19,7 @@ import numpy as np
 from . import config
 from .errors import ContractError, InputError
 from .linalg import Operator, StateVector, _check_amplitudes, _check_capacity, _check_unitary_family, _integer
-from .linalg import _frozen_state, _operator_with_residual, _operators_from_json, apply, basis_state, operator_to_json
+from .linalg import _frozen_state, _operator_with_residual, _operators_from_json, apply, operator_to_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,11 +152,12 @@ def _copy_rows(amps: np.ndarray, limit: int | None = None) -> tuple[np.ndarray, 
     """
     k, n = amps.shape
     limit = config.max_dim() if limit is None else limit
-    blank = basis_state(n, 0, limit=limit).amps
+    _check_capacity(n, "basis state", limit)
     _check_capacity(n * n, "tensor product state", limit)
     _check_capacity(2 * n**3, "basis cloner", limit)
     c = cloner(n)
     _check_joint_dim(c, n * n)
+    blank = np.eye(1, n, dtype=complex)[0]
     # The same elementwise products tensor_state makes, one (n, n) slab per row.
     joint = np.multiply(amps[:, :, None], blank[None, None, :])
     rows = np.einsum("lij,klj->kli", c._stack, joint).reshape(k, n * n)

@@ -141,14 +141,13 @@ def _operator_with_residual(entries: np.ndarray, residual: float) -> Operator:
     return op
 
 
-def basis_state(dim: int, index: int, *, limit: int | None = None) -> StateVector:
-    """The ``index``-th standard unit vector in ``dim`` dimensions, within the
-    amplitude budget (``limit``, if the caller has read it already)."""
+def basis_state(dim: int, index: int) -> StateVector:
+    """The ``index``-th standard unit vector in ``dim`` dimensions, within the amplitude budget."""
     if dim < 1:
         raise ContractError(f"dimension must be positive, got {dim}")
     if not 0 <= index < dim:
         raise ContractError(f"basis index {index} out of range for dimension {dim}")
-    _check_capacity(dim, "basis state", limit)
+    _check_capacity(dim, "basis state")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return _state_with_amps(amps)

@@ -55,6 +55,10 @@ class TestGateSet:
         with pytest.raises(ContractError):
             GateSet((identity(2), identity(3)))
 
+    def test_rejects_no_gates(self):
+        with pytest.raises(ContractError, match="^a gate set needs at least one gate$"):
+            GateSet(())
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ContractError, match="unitary"):
             GateSet((Operator(np.diag([1.0, 2.0])),))

@@ -109,6 +109,10 @@ class TestProgramRegistry:
             with pytest.raises(ContractError):
                 ProgramRegistry(g, {"bad": cells})
 
+    def test_demo_registry_needs_two_basis_states(self):
+        with pytest.raises(ContractError, match="^demo registry needs a basis of at least 2, got 1$"):
+            demo_registry(1)
+
     def test_errors_name_a_segment_by_its_normalized_name(self):
         g = demo_registry(2).gate_set
         with pytest.raises(ContractError, match="^segment '1' symbol must be an integer"):
@@ -174,6 +178,10 @@ class TestTapeLayout:
         t = encode_tape(demo_registry(2))
         assert t.cells == (1, 0, 2, 0, 3, 1, 0)
         assert t.head == 0
+
+    def test_an_empty_registry_has_no_tape(self):
+        with pytest.raises(ContractError, match="^cannot encode an empty registry onto a tape$"):
+            encode_tape(ProgramRegistry(demo_registry(2).gate_set, {}))
 
     def test_unterminated_tape_is_undecodable(self):
         with pytest.raises(UndecodableProgramError, match="separator"):
@@ -299,6 +307,11 @@ class TestAutomaton:
         a = demo_automaton(2)
         with pytest.raises(ContractError, match="translation"):
             Automaton(a.tape, basis_state(4, 3), a.registry)
+
+    def test_payload_dim_must_match_the_gates(self):
+        a = demo_automaton(2)
+        with pytest.raises(ContractError, match="^payload dim 2 does not match gate dim 4$"):
+            Automaton(a.tape, basis_state(2, 0), a.registry)
 
     def test_alphabet_mismatch_is_undecodable(self):
         """The alphabet check is translate's: the same error type and text."""

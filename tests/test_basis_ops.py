@@ -267,7 +267,8 @@ class TestCopyOntoBlank:
 
     def test_each_output_row_is_checked_once(self, monkeypatch):
         """``_copy_rows`` checks every output row, and making the rows states
-        checks none of them again: one check per output, one for the blank."""
+        checks none of them again: one check per output, and none for the
+        constant blank."""
         states = [basis_state(3, 0), random_state(3, np.random.default_rng(1))]
         checked = []
         check = qreplica.linalg._check_amplitudes
@@ -279,7 +280,7 @@ class TestCopyOntoBlank:
         monkeypatch.setattr(qreplica.linalg, "_check_amplitudes", spy)
         monkeypatch.setattr(qreplica.basis_ops, "_check_amplitudes", spy)
         outs, _ = copy_onto_blank(states)
-        assert checked == [3, 9, 9]
+        assert checked == [9, 9]
         assert all(not out.amps.flags.writeable for out in outs)
 
     def test_refuses_an_empty_or_mixed_batch(self):
@@ -300,6 +301,14 @@ class TestCopyOntoBlank:
         monkeypatch.setenv(config.ENV_MAX_DIM, limit)
         with pytest.raises(CapacityError, match=message):
             copy_onto_blank([basis_state(3, 1), basis_state(3, 2)])
+
+    def test_a_register_over_budget_is_refused_before_its_joint_space(self, monkeypatch):
+        """A state built without a budget check, such as a random one, is
+        refused for its own n amplitudes before its n² joint space."""
+        psi = random_state(5, np.random.default_rng(2))
+        monkeypatch.setenv(config.ENV_MAX_DIM, "4")
+        with pytest.raises(CapacityError, match="^basis state needs 5 amplitudes, exceeding MAX_DIM=4$"):
+            copy_onto_blank([psi])
 
 
 class TestConditionalDynamics:
@@ -333,6 +342,10 @@ class TestConditionalDynamics:
     def test_rejects_mismatched_block_dims(self):
         with pytest.raises(ContractError, match="dim"):
             conditional_dynamics([identity(2), identity(3)])
+
+    def test_rejects_no_blocks(self):
+        with pytest.raises(ContractError, match="^a controlled operator needs at least one block$"):
+            ControlledOperator(())
 
     def test_block_count_is_control_dim(self, rng):
         """The program count cannot disagree with the control dimension."""

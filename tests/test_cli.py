@@ -147,6 +147,12 @@ class TestCloneDemo:
         line = one_error_line(capsys, argv)
         assert line == f"error: tolerance override {override!r} must be a finite, non-negative number"
 
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_the_amplitude_budget_must_be_positive(self, capsys, monkeypatch, limit):
+        monkeypatch.setenv(config.ENV_MAX_DIM, limit)
+        line = one_error_line(capsys, ["clone-demo", "--n", "2", "--basis-index", "0"])
+        assert line == f"error: QREPLICA_MAX_DIM must be a positive integer, got {limit!r}"
+
 
 class TestCondDyn:
     def test_control_selects_block(self, capsys, tmp_path):
@@ -177,6 +183,10 @@ class TestCondDyn:
         blocks = json.dumps({"control_dim": 5, "target_dim": 7, "blocks": [i, x]})
         line = one_error_line(capsys, ["cond-dyn", "--blocks", blocks, "--control", "1"])
         assert line == "error: controlled operator: control_dim=5 inconsistent with blocks (2)"
+
+    def test_requires_an_input_or_a_control(self, capsys):
+        blocks = json.dumps([operator_to_json(Operator(np.eye(2)))])
+        assert one_error_line(capsys, ["cond-dyn", "--blocks", blocks]) == "error: provide --input or --control"
 
 
 class TestTapeRun:
@@ -285,6 +295,17 @@ class TestApprox:
 
     def test_bad_epsilon(self, capsys, x_target_file):
         assert cli.main(["approx", "--target", x_target_file, "--epsilon", "0", "--max-len", "4"]) == 2
+
+    def test_a_tolerance_override_needs_a_name_and_a_value(self, capsys, x_target_file):
+        argv = ["approx", "--target", x_target_file, "--epsilon", "0.2", "--max-len", "4"]
+        line = one_error_line(capsys, [*argv, "--set-tolerance", "UNITARY_TOL"])
+        assert line == "error: tolerance override 'UNITARY_TOL' must have the form NAME=VALUE"
+
+    def test_a_gate_set_needs_one_label_per_gate(self, capsys, x_target_file):
+        gates = gate_set_to_json(default_gate_set())
+        gates["labels"] = ["rz"]
+        argv = ["approx", "--target", x_target_file, "--gates", json.dumps(gates), "--epsilon", "0.2", "--max-len", "4"]
+        assert one_error_line(capsys, argv) == "error: gate set: got 1 labels for 2 gates"
 
     @pytest.mark.parametrize(
         "extra",
@@ -418,6 +439,12 @@ class TestReplicate:
 
         monkeypatch.setattr(cli, "replicate", broken)
         assert cli.main(["replicate", "--automaton", automaton_file, "--generations", "1"]) == 3
+
+    def test_registry_segments_must_be_an_object(self, capsys):
+        automaton = automaton_to_json(demo_automaton(2))
+        automaton["registry"]["segments"] = [[1], [2], [3, 1]]
+        line = one_error_line(capsys, ["replicate", "--automaton", json.dumps(automaton), "--generations", "1"])
+        assert line == "error: registry.segments: expected an object mapping names to symbol lists"
 
 
 class TestOutputPlumbing:

@@ -227,3 +227,24 @@ def test_threads_searching_in_turn_get_the_cold_results():
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert results == colds
+
+
+def test_a_level_is_built_from_its_parents_where_staging_moved_them():
+    """When staging a level moves the net's buffer, the parents are read from
+    the new one, so the old buffer is freed before the level is admitted."""
+    g = default_gate_set()
+    levels = _Levels(None, np.stack([gate.entries for gate in g.gates]), 1e-3)
+    admit = levels.net.admit
+    moves = []
+
+    def spy(products):
+        held = old()
+        assert held is None or held is levels.net._buf
+        moves.append(held is None)
+        return admit(products)
+
+    with mock.patch.object(levels.net, "admit", spy):
+        for _ in range(10):
+            old = weakref.ref(levels.net._buf)
+            levels.extend(0)
+    assert any(moves)

@@ -195,6 +195,21 @@ class TestOperator:
         assert op.unitary_residual == pytest.approx((1 + 1e-3) ** 2 - 1, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: basis_state(0, 0),
+        lambda rng: identity(0),
+        lambda rng: random_unitary(0, rng),
+        lambda rng: random_state(0, rng),
+    ],
+    ids=["basis_state", "identity", "random_unitary", "random_state"],
+)
+def test_constructions_refuse_dimension_zero(build, rng):
+    with pytest.raises(ContractError, match="^dimension must be positive, got 0$"):
+        build(rng)
+
+
 class TestTensorOrdering:
     """The first factor occupies the slow (most significant) index."""
 
@@ -333,6 +348,10 @@ class TestPhaseInvariantDistance:
         bad = Operator(np.array([[1.0, 0.0], [0.0, 2.0]]))
         with pytest.raises(ContractError, match="unitary"):
             phase_invariant_distance(bad, identity(2))
+
+    def test_rejects_mismatched_dims(self):
+        with pytest.raises(ContractError, match="^operator dims differ: 2 vs 4$"):
+            phase_invariant_distance(identity(2), identity(4))
 
 
 class TestJson:

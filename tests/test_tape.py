@@ -290,6 +290,11 @@ class TestJointEvolution:
         with pytest.raises(CapacityError, match="joint space needs 32 amplitudes"):
             joint_tape_evolution(Tape(2, (1, 0, 1)), gates, basis_state(4, 0))
 
+    def test_starts_at_cell_1(self, rng):
+        gates = tuple(random_unitary(2, rng) for _ in range(2))
+        with pytest.raises(ContractError, match="^joint evolution starts at cell 1, got head 1$"):
+            joint_tape_evolution(Tape(2, (1, 0), 1), gates, basis_state(2, 0))
+
 
 class TestReplicateTape:
     def test_child_matches_parent(self):

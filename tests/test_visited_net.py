@@ -387,11 +387,12 @@ def test_staged_rows_and_a_given_array_leave_the_same_net(gates, radius, block):
     """A level built in the rows ``stage`` hands out, as the search builds it,
     and the same level given as an array of its own keep what the two-pass
     admit keeps, and leave the same buffer and index, however the rows are
-    probed and moved in blocks; ``level`` is a view of the kept rows."""
+    probed and moved in blocks; the kept rows follow the earlier ones."""
     dim = gates.shape[1]
     given_net, staged_net = _VisitedNet(dim, radius), _VisitedNet(dim, radius)
     with mock.patch.object(approx, "_ROW_BLOCK", block):
         for flats, (kept, reference) in levels(gates, [given_net, TwoPassNet(dim, radius)]):
+            start = staged_net._count
             rows = staged_net.stage(len(flats))
             assert rows.base is staged_net._buf
             rows[:] = flats
@@ -406,8 +407,7 @@ def test_staged_rows_and_a_given_array_leave_the_same_net(gates, radius, block):
             assert np.array_equal(staged_net._sorted, np.sort(cells))
             assert np.array_equal(cells[staged_net._order], staged_net._sorted)
             for net in given_net, staged_net:
-                assert net.level.base is net._buf
-                assert net.level.tobytes() == flats[kept].tobytes()
+                assert net._buf[start : net._count].tobytes() == flats[kept].tobytes()
 
 
 def test_a_buffer_that_grows_makes_room_for_the_next_level():
@@ -423,6 +423,20 @@ def test_a_buffer_that_grows_makes_room_for_the_next_level():
     grown = net._buf
     net.stage(2000)
     assert net._buf is grown
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_an_empty_level_keeps_nothing_and_leaves_the_net_as_it_was(dim):
+    """A level of no products probes nothing, keeps nothing, and leaves the
+    count and the index as they were."""
+    rng = np.random.default_rng(5)
+    net = _VisitedNet(dim, 1e-3)
+    net.admit(np.stack([random_unitary(dim, rng).entries.reshape(-1) for _ in range(20)]))
+    count, sorted_keys, order = net._count, net._sorted.copy(), net._order.copy()
+    assert len(net.admit(np.empty((0, dim * dim), dtype=complex))) == 0
+    assert net._count == count
+    assert np.array_equal(net._sorted, sorted_keys)
+    assert np.array_equal(net._order, order)
 
 
 @pytest.mark.parametrize(
