@@ -490,7 +490,6 @@ def best_approximation(
     dim, n = g.dim, g.n
     gate_mats = np.stack([gate.entries for gate in g.gates])
     target_flat = target.entries.reshape(-1)
-    target_conj = target_flat.conj()
     # Column l is conj(G_l†T): a parent F times it is conj(tr((G_l F)†T)).
     lifted = (gate_mats.conj().transpose(0, 2, 1) @ target.entries).reshape(n, -1).conj().T
 
@@ -523,21 +522,17 @@ def best_approximation(
                 for begin in range(0, len(frontier), _ROW_BLOCK):
                     np.abs(frontier[begin : begin + _ROW_BLOCK] @ lifted, out=screened[begin : begin + _ROW_BLOCK])
                 screened = screened.reshape(-1)
-                picks = np.flatnonzero(screened >= screened.max() - 2.0 * _EXACT_MARGIN)
+                picks = np.flatnonzero(screened >= screened.max() - _EXACT_MARGIN)
                 del screened
                 parent_mats = frontier.reshape(-1, dim, dim)[picks // n]
                 flats = np.matmul(gate_mats[picks % n], parent_mats).reshape(len(picks), -1)
                 # Same length throughout the level, so the first best one wins
                 # it, and it replaces a shorter best only by being strictly
-                # better. A lone pick is the level's best.
-                near = range(1)
-                if len(picks) > 1:
-                    overlaps = np.abs(flats @ target_conj)
-                    near = np.flatnonzero(overlaps >= overlaps.max() - _EXACT_MARGIN)
-                for j in near:
-                    dist = distance_of(flats[j])
+                # better.
+                for c, flat in zip(picks.tolist(), flats):
+                    dist = distance_of(flat)
                     if dist < best_dist:
-                        best_dist, best_at = dist, (level, int(picks[j]))
+                        best_dist, best_at = dist, (level, c)
                 profile.append(best_dist)
                 # Expand: only a level that another grows from, and build it
                 # only if no earlier search did.

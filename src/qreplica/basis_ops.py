@@ -172,9 +172,10 @@ def densify(c: ControlledOperator) -> Operator:
     """Materialize Σ_l |l⟩⟨l| ⊗ blocks[l] as a dense matrix (cross-check oracle).
 
     Its residual is the largest block residual: A†A is block diagonal with blocks B_l†B_l.
+    The matrix's joint_dim² amplitudes are checked against the budget before it is built.
     """
     dim = c.joint_dim
-    _check_capacity(dim, "dense controlled operator")
+    _check_capacity(dim * dim, "dense controlled operator")
     m = c.target_dim
     matrix = np.zeros((dim, dim), dtype=complex)
     for l, block in enumerate(c.blocks):

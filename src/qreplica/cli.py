@@ -1,9 +1,10 @@
 """Command-line surface: demos and verification runs as reproducible JSON reports.
 
 Every report embeds the tolerance values in force. Exit codes: 0 success,
-1 failed verification, 2 contract/input errors, 3 integrity errors, and 141
-when stdout was closed before the report was written out (128 + SIGPIPE, the
-status a shell gives a writer that SIGPIPE ends); nothing is printed then.
+1 failed verification, 2 contract/input errors and allocations the host
+cannot make, 3 integrity errors, and 141 when stdout was closed before the
+report was written out (128 + SIGPIPE, the status a shell gives a writer that
+SIGPIPE ends); nothing is printed then.
 """
 
 from __future__ import annotations
@@ -130,6 +131,8 @@ def cmd_cond_dyn(args) -> int:
     obj = _load_json(args.blocks, "blocks")
     cd = controlled_from_json({"blocks": obj} if isinstance(obj, list) else obj)
     if args.input is not None:
+        if args.control is not None or args.target_state is not None:
+            raise InputError("--input is the whole joint state: give it without --control or --target-state")
         joint_in = state_from_json(_load_json(args.input, "input state"))
     else:
         if args.control is None:
@@ -165,9 +168,11 @@ def cmd_tape_run(args) -> int:
     t = _load_tape(args.tape)
     gates = gate_set_from_json(_load_json(args.gates, "gate set"))
     if args.payload is not None:
+        if args.payload_index is not None:
+            raise InputError("provide at most one of --payload or --payload-index")
         payload = state_from_json(_load_json(args.payload, "payload"))
     else:
-        payload = basis_state(gates.dim, args.payload_index)
+        payload = basis_state(gates.dim, 0 if args.payload_index is None else args.payload_index)
     final = run_tape(t, gates.gates, payload)
     report = _base_report("tape-run", args)
     report.update(
@@ -197,15 +202,13 @@ def cmd_tape_run(args) -> int:
 def cmd_approx(args) -> int:
     target = operator_from_json(_load_json(args.target, "target"))
     gates = default_gate_set() if args.gates is None else gate_set_from_json(_load_json(args.gates, "gate set"))
-    result = best_approximation(
-        target, gates, args.max_len, epsilon=args.epsilon, net_radius=args.net_radius
-    )
+    result = best_approximation(target, gates, args.max_len, epsilon=args.epsilon)
     report = _base_report("approx", args)
     report.update(
         {
             "epsilon": args.epsilon,
             "max_len": args.max_len,
-            "net_radius": config.DEFAULT_NET_RADIUS if args.net_radius is None else args.net_radius,
+            "net_radius": config.DEFAULT_NET_RADIUS,
             "found": result.achieved_distance <= args.epsilon,
             "result": approx_result_to_json(result, gates),
         }
@@ -316,14 +319,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tape", required=True, help="tape text 'n=..;cells=..;head=..' or JSON")
     p.add_argument("--gates", required=True, help="gate set JSON (inline or path)")
     p.add_argument("--payload", default=None, help="payload state JSON (default: blank basis state)")
-    p.add_argument("--payload-index", type=int, default=0, help="payload basis index if no --payload")
+    p.add_argument("--payload-index", type=int, default=None, help="payload basis index (default 0) if no --payload")
 
     p = sub.add_parser("approx", parents=[common], help="search gate products approximating a target")
     p.add_argument("--target", required=True, help="target operator JSON (inline or path)")
     p.add_argument("--gates", default=None, help="gate set JSON (default: built-in irrational rotations)")
     p.add_argument("--epsilon", type=float, required=True, help="acceptable distance to the target")
     p.add_argument("--max-len", type=int, required=True, help="longest sequence to consider")
-    p.add_argument("--net-radius", type=float, default=None, help="merge radius for visited products")
 
     p = sub.add_parser("replicate", parents=[common], help="run replication cycles, reporting each generation")
     p.add_argument("--automaton", required=True, help="automaton JSON (inline or path)")
@@ -348,6 +350,10 @@ def main(argv=None) -> int:
     except QReplicaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        # An allocation past every budget check that the host cannot make.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The reader closed stdout. Point stdout at devnull so that the
         # interpreter's final flush of what is still buffered cannot raise too.

@@ -6,6 +6,7 @@ from the package's own densify path, so the two routes stay independent.
 
 import json
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -431,10 +432,27 @@ class TestDensify:
             assert not dense.entries.flags.writeable
 
     def test_capacity_error(self, monkeypatch):
-        monkeypatch.setenv(config.ENV_MAX_DIM, "8")
+        """The budget counts the matrix's joint_dim² amplitudes: cloner(2)'s 4 × 4 fits 16, not 15."""
+        monkeypatch.setenv(config.ENV_MAX_DIM, "16")
         densify(cloner(2))
-        with pytest.raises(CapacityError, match="dense controlled operator needs 9 amplitudes"):
-            densify(cloner(3))
+        monkeypatch.setenv(config.ENV_MAX_DIM, "15")
+        with pytest.raises(CapacityError, match="dense controlled operator needs 16 amplitudes, exceeding MAX_DIM=15"):
+            densify(cloner(2))
+
+    def test_a_joint_dim_past_1024_is_refused_before_its_matrix_is_built(self, monkeypatch):
+        """At the default budget a joint dim of 1,024 fills 2²⁰ amplitudes exactly,
+        and 1,025 is refused with no more than its blocks allocated."""
+        monkeypatch.delenv(config.ENV_MAX_DIM, raising=False)
+        assert densify(conditional_dynamics([identity(32)] * 32)).dim == 1024
+        c = conditional_dynamics([identity(41)] * 25)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"needs {1025**2} amplitudes, exceeding MAX_DIM={2**20}$"):
+                densify(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1025**2
 
 
 class TestControlledJson:

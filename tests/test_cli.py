@@ -188,6 +188,25 @@ class TestCondDyn:
         blocks = json.dumps([operator_to_json(Operator(np.eye(2)))])
         assert one_error_line(capsys, ["cond-dyn", "--blocks", blocks]) == "error: provide --input or --control"
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--control", "1"], ["--target-state", "{}"], ["--control", "0", "--target-state", "{}"]],
+        ids=["control", "target-state", "both"],
+    )
+    def test_an_input_state_excludes_a_control_and_a_target_state(self, capsys, extra):
+        x = operator_to_json(Operator(np.array([[0, 1], [1, 0]])))
+        joint = json.dumps({"dim": 4, "amps": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]})
+        line = one_error_line(capsys, ["cond-dyn", "--blocks", json.dumps([x, x]), "--input", joint, *extra])
+        assert line == "error: --input is the whole joint state: give it without --control or --target-state"
+
+    def test_a_dense_check_over_the_budget_ends_in_exit_2(self, capsys, monkeypatch):
+        """The dense check's 4 × 4 matrix holds 16 amplitudes, more than a budget
+        of 15 that the 4-amplitude joint state fits."""
+        monkeypatch.setenv(config.ENV_MAX_DIM, "15")
+        x = operator_to_json(Operator(np.array([[0, 1], [1, 0]])))
+        line = one_error_line(capsys, ["cond-dyn", "--blocks", json.dumps([x, x]), "--control", "1"])
+        assert line == "error: dense controlled operator needs 16 amplitudes, exceeding MAX_DIM=15"
+
 
 class TestTapeRun:
     def test_joint_check_small(self, capsys, golden_gates_file):
@@ -218,6 +237,13 @@ class TestTapeRun:
         path.write_text(json.dumps({**gate_set_to_json(default_gate_set()), "dim": json.loads(dim)}))
         assert cli.main(["tape-run", "--tape", "n=2;cells=1,0;head=0", "--gates", str(path)]) == 2
         assert "dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", ["0", "1"])
+    def test_a_payload_excludes_a_payload_index(self, capsys, golden_gates_file, index):
+        payload = json.dumps({"dim": 2, "amps": [[1.0, 0.0], [0.0, 0.0]]})
+        argv = ["tape-run", "--tape", "n=2;cells=1,0;head=0", "--gates", golden_gates_file]
+        line = one_error_line(capsys, [*argv, "--payload", payload, "--payload-index", index])
+        assert line == "error: provide at most one of --payload or --payload-index"
 
     def test_bad_tape_text(self, capsys, golden_gates_file):
         assert cli.main(["tape-run", "--tape", "n=2;cells=", "--gates", golden_gates_file]) == 2
@@ -310,8 +336,8 @@ class TestApprox:
     @pytest.mark.parametrize(
         "extra",
         [
-            ["--epsilon", "0.2", "--net-radius", "nan"],
-            ["--epsilon", "0.2", "--net-radius", "inf"],
+            ["--epsilon", "0.2", "--set-tolerance", "DEFAULT_NET_RADIUS=nan"],
+            ["--epsilon", "0.2", "--set-tolerance", "DEFAULT_NET_RADIUS=inf"],
             ["--epsilon", "inf"],
             ["--epsilon", "nan"],
         ],
@@ -320,6 +346,25 @@ class TestApprox:
         code = cli.main(["approx", "--target", x_target_file, "--max-len", "4", *extra])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+    def test_the_merge_radius_is_set_as_a_tolerance_and_reported_as_in_force(self, capsys, x_target_file):
+        """--net-radius is refused; --set-tolerance DEFAULT_NET_RADIUS=R searches
+        at R, as the library's net_radius=R does, and the report's net_radius is
+        its snapshot's."""
+        argv = ["approx", "--target", x_target_file, "--epsilon", "1e-3", "--max-len", "10"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--net-radius", "0.05"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        x, gates = Operator(np.array([[0, 1], [1, 0]])), default_gate_set()
+        for radius in (None, 1e-3, 0.05, 0.2):
+            extra = [] if radius is None else ["--set-tolerance", f"DEFAULT_NET_RADIUS={radius}"]
+            code, report = run_json(capsys, [*argv, *extra])
+            assert code == 0
+            assert report["net_radius"] == report["tolerances"]["DEFAULT_NET_RADIUS"]
+            assert report["net_radius"] == (config.DEFAULT_NET_RADIUS if radius is None else radius)
+            expected = approx.best_approximation(x, gates, 10, epsilon=1e-3, net_radius=radius)
+            assert report["result"] == json.loads(json.dumps(approx.approx_result_to_json(expected, gates)))
 
     def test_parallel_option_is_gone_and_reports_are_deterministic(
         self, capsys, x_target_file, automaton_file
@@ -492,6 +537,24 @@ class TestOutputPlumbing:
         assert calls == [3]
         code, report = run_json(capsys, ["clone-demo", "--n", "3", "--basis-index", "2"])
         assert (code, report["n"]) == (0, 3)
+
+    @pytest.mark.parametrize(
+        "raised, line",
+        [
+            (MemoryError("Unable to allocate 596. GiB for an array"), "error: Unable to allocate 596. GiB for an array"),
+            (MemoryError(), "error: out of memory"),
+        ],
+        ids=["with-message", "without-message"],
+    )
+    def test_an_allocation_the_host_cannot_make_ends_in_exit_2(self, capsys, monkeypatch, raised, line):
+        """The budget checks passed, but the host refused the memory: one error
+        line and exit 2, not a traceback and not verification's exit 1."""
+
+        def short_of_memory(args):
+            raise raised
+
+        monkeypatch.setattr(cli, "cmd_clone_demo", short_of_memory)
+        assert one_error_line(capsys, ["clone-demo", "--n", "2", "--basis-index", "1"]) == line
 
     def test_reports_are_byte_stable(self, capsys):
         code1 = cli.main(["clone-demo", "--n", "2", "--basis-index", "1"])

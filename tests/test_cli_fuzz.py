@@ -217,7 +217,7 @@ def test_approx(data, output_dir):
     argv.append(f"--epsilon={sometimes(draw, st.floats(0.01, 1.0), st.floats())!r}")
     argv.append(f"--max-len={sometimes(draw, st.integers(1, 8), st.integers(-1, 0))}")
     if draw(st.booleans()):
-        argv.append(f"--net-radius={sometimes(draw, st.floats(1e-6, 0.5), st.floats())!r}")
+        argv.append(f"--set-tolerance=DEFAULT_NET_RADIUS={sometimes(draw, st.floats(1e-6, 0.5), st.floats())!r}")
     check(argv + common_options(draw, output_dir))
 
 
