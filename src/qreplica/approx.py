@@ -202,17 +202,16 @@ class _VisitedNet:
         self._order = np.empty(0, dtype=np.intp)
         self._sorted = np.empty(0, dtype=self._key)
 
-    def stage(self, count: int, reserve: int = 0) -> np.ndarray:
+    def stage(self, count: int) -> np.ndarray:
         """The buffer rows for the next ``count`` products, behind the kept ones.
 
-        A buffer too small for them grows to hold ``reserve`` rows more, the
-        most the next level may need, and at least doubles. It moves to grow,
-        which leaves earlier views of it stale. Fill the rows, then ``admit``
-        them.
+        A buffer too small for them grows to hold them, and at least doubles.
+        It moves to grow, which leaves earlier views of it stale. Fill the
+        rows, then ``admit`` them.
         """
         start, end = self._count, self._count + count
         if end > len(self._buf):
-            grown = np.empty((max(end + reserve, 2 * len(self._buf)), self._buf.shape[1]), dtype=complex)
+            grown = np.empty((max(end, 2 * len(self._buf)), self._buf.shape[1]), dtype=complex)
             grown[:start] = self._buf[:start]
             self._buf = grown
         self._staged = self._buf[start:end]
@@ -369,14 +368,8 @@ class _VisitedNet:
             first = sorted_keys.take(lo, mode="clip")
             first -= runs
             slots = np.flatnonzero((first >= 0) & (first < 2))
-            lo, ends = lo[slots], runs[slots]
-            ends += 2
-            # A run holds one key unless its second key is in it too: only then
-            # look for its end. Past the end, the second key is the first one,
-            # and the search finds the run's one key.
-            counts = np.ones(len(slots), dtype=np.intp)
-            multi = np.flatnonzero(sorted_keys.take(lo + 1, mode="clip") < ends)
-            counts[multi] = np.searchsorted(sorted_keys, ends[multi]) - lo[multi]
+            lo = lo[slots]
+            counts = np.searchsorted(sorted_keys, runs[slots] + 2) - lo
             slot_queries = queries[slots % len(queries)]
             # A run of one key whose product is the query or a later product of
             # its level has no pair: drop it before expanding.
@@ -407,11 +400,11 @@ class _Levels:
     def __getitem__(self, k: int) -> np.ndarray:
         return self.net._buf[self.bounds[k] : self.bounds[k + 1]]
 
-    def extend(self, reserve: int) -> None:
+    def extend(self) -> None:
         """Build the level after the last stored one in the net's buffer rows,
         with one BLAS call per parent, admit it, and store what it keeps."""
         net, dim, last = self.net, self.net._dim, len(self.bounds) - 2
-        products = net.stage(len(self[last]) * (len(self.gate_rows) // dim), reserve)
+        products = net.stage(len(self[last]) * (len(self.gate_rows) // dim))
         # Staging may have moved the buffer: read the parents where they are now.
         parents = self[last].reshape(-1, dim, dim)
         np.matmul(self.gate_rows, parents, out=products.reshape(len(parents), -1, dim))
@@ -542,13 +535,9 @@ def best_approximation(
                     limit = config.max_dim()
                 _check_capacity(len(frontier) * n * dim * dim, "approximation level", limit)
                 if len(levels.kept) == level:
-                    # A buffer that grows makes room for the next level too, if
-                    # one is expanded and the capacity check would let it be
-                    # built.
-                    reserve = min(len(frontier) * n * n, limit // (dim * dim)) if level + 2 < max_len else 0
                     # Let a buffer that staging moves go.
                     del frontier
-                    levels.extend(reserve)
+                    levels.extend()
         except BaseException:
             # A level admitted in part would mislead every later search, so
             # whatever raised, the store goes.

@@ -246,5 +246,5 @@ def test_a_level_is_built_from_its_parents_where_staging_moved_them():
     with mock.patch.object(levels.net, "admit", spy):
         for _ in range(10):
             old = weakref.ref(levels.net._buf)
-            levels.extend(0)
+            levels.extend()
     assert any(moves)

@@ -8,7 +8,9 @@ must kill the mutant. For each entry the runner copies src/, tests/ and
 pyproject.toml to a temporary directory, replaces the fragment, which must
 occur exactly once in the module, and runs pytest there on the entry's tests
 alone. Before any mutant it runs every listed test on an unmutated copy: a
-kill means nothing if the test fails anyway.
+kill means nothing if the test fails anyway. The copies run Hypothesis
+without shrinking: a killer's first failing example already kills, and
+shrinking it could take most of a run.
 
 A mutant is killed when a listed test fails; one that stops pytest before
 its tests run (a syntax or import error) is reported as an error. Exit
@@ -31,12 +33,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 IGNORED = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis", ".pytest_cache")
 TIMEOUT_S = 600
+# Appended to the copy's tests/conftest.py, after the suite loads its profile.
+NO_SHRINK = """
+from hypothesis import Phase as _Phase, settings as _settings
+
+_settings.register_profile("mutants", _settings.default, phases=[p for p in _Phase if p is not _Phase.shrink])
+_settings.load_profile("mutants")
+"""
 
 
 def copy_tree(into: Path) -> None:
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, into / name, ignore=IGNORED)
     shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+    with open(into / "tests" / "conftest.py", "a", encoding="utf-8") as conftest:
+        conftest.write(NO_SHRINK)
 
 
 def run_tests(where: Path, tests: list[str]) -> tuple[int, str]:
