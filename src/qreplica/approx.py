@@ -1,20 +1,21 @@
 """Approximating a target unitary by products drawn from a finite gate set.
 
 The search enumerates gate products breadth first, one length (level) at a
-time, with a visited-net prune: two partial products within ``net_radius`` of
-each other (phase-invariant distance) are merged, keeping the one found first,
-which is always the shorter or lexicographically earlier one. The net's grid
-index (see ``_VisitedNet``) only proposes merge candidates, and every merge is
-confirmed with the exact test |tr(A†B)| >= d(1 − r²), so indexing never
-changes which products merge or what the search returns.
+time, with a visited-net prune: two partial products within ρ = max(r, 1e-6)
+of each other (phase-invariant distance), for r = ``DEFAULT_NET_RADIUS`` as
+the search starts, are merged, keeping the one found first, which is always
+the shorter or lexicographically earlier one. The net's grid index (see
+``_VisitedNet``) only proposes merge candidates, and every merge is confirmed
+with the exact test |tr(A†B)| >= d(1 − ρ²), so indexing never changes which
+products merge or what the search returns.
 
-The net radius r is therefore the documented completeness resolution: a
+The net radius ρ is therefore the documented completeness resolution: a
 negative answer certifies that nothing in the visited net beat the requested
 precision, not that no sequence exists. It bounds by how much one can: a merge
-swaps a product for a kept one within r, and multiplying both by a gate keeps
-their distance, so every product of length ℓ ≤ L, where L is the last length
-the search evaluated, lies within (ℓ − 1)·r of one it evaluated. No product of
-length ≤ L is closer to the target than the achieved distance minus (L − 1)·r.
+swaps a product for a kept one within ρ, and multiplying both by a gate keeps
+their distance, so every product of length ℓ ≤ L, the last length evaluated,
+lies within (ℓ − 1)·ρ of one evaluated, and none is closer to the target than
+the achieved distance minus (L − 1)·max(r, 1e-6).
 
 Ties between equally good sequences are broken toward shorter length, then
 lexicographically smaller symbols (in application order), so every search is
@@ -152,18 +153,19 @@ def _compact(arrays, keep: np.ndarray, first: int) -> int:
 
 
 class _VisitedNet:
-    """Partial products kept so far; anything within the radius of one is merged.
+    """Partial products kept so far: anything within ρ = max(r, 1e-6) of one,
+    for the net radius r, is merged, so a search misses by ≤ (L − 1)·ρ.
 
     Kept products are indexed by a grid on three phase-invariant coordinates,
     p(A) = (|A₀₀|², Re A₀₀·conj(A₁₀), Re A₀₀·conj(A₀₁)): entries of the
     projectors xx† onto x = column 0 of A and onto column 0 of A†.
 
-    Each coordinate moves by at most reach = √dim·r across a merge. A merge
-    means |tr W| ≥ dim·(1 − r²) for W = A†B. For unit vectors x, x′ with
+    Each coordinate moves by at most reach = √dim·ρ across a merge. A merge
+    means |tr W| ≥ dim·(1 − ρ²) for W = A†B. For unit vectors x, x′ with
     c = |⟨x, x′⟩|, xx† − x′x′† has eigenvalues ±√(1 − c²), which bound each of
     its entries. For column 0, c = |W₀₀|. Deleting row 0 and column 0 of W
     leaves a block whose singular values are 1 but one, which is c, so
-    |tr W| ≤ dim − 2 + 2c, and 1 − c² ≤ 2(1 − c) ≤ dim − |tr W| ≤ dim·r². The
+    |tr W| ≤ dim − 2 + 2c, and 1 − c² ≤ 2(1 − c) ≤ dim − |tr W| ≤ dim·ρ². The
     same holds for column 0 of A†, with W = AB†.
 
     The cell side is at least 2·reach, so a merge partner's coordinate lies
@@ -181,12 +183,14 @@ class _VisitedNet:
     """
 
     def __init__(self, dim: int, radius: float):
-        # d(A,B) <= r  <=>  |tr(A†B)| >= dim·(1 − r²)
-        self._threshold = dim * (1.0 - radius * radius)
+        # d(A,B) <= ρ  <=>  |tr(A†B)| >= dim·(1 − ρ²). ρ² >= 1e-12 merges
+        # products equal in exact arithmetic, ~1e-8 apart after rounding; 1e-12
+        # more in ρ² and 1e-6 in the side absorb rounding in the overlaps and p.
+        rounding = 1e-12
+        r2 = max(radius * radius, rounding)
+        self._threshold = dim * (1.0 - r2)
         self._dim = dim
-        # 1e-12 in r² and 1e-6 in the side absorb rounding in the overlaps and
-        # in p.
-        reach = np.sqrt(dim * (radius * radius + 1e-12))
+        reach = np.sqrt(dim * (r2 + rounding))
         self._side = min(2.0 * reach * (1.0 + 1e-6), 4.0)
         # Shifted coordinates lie in [0, 1.5], so every cell and probe index
         # lies in [0, span), and every key and probe run end below
@@ -441,14 +445,7 @@ def _require_positive_finite(name: str, value: float) -> None:
         raise ContractError(f"{name} must be positive and finite, got {value}")
 
 
-def best_approximation(
-    target: Operator,
-    g: GateSet,
-    max_len: int,
-    *,
-    epsilon: float | None = None,
-    net_radius: float | None = None,
-) -> ApproxResult:
+def best_approximation(target: Operator, g: GateSet, max_len: int, *, epsilon: float | None = None) -> ApproxResult:
     """Best product of length ≤ max_len, by level-by-level enumeration.
 
     Each level is evaluated from its parents, and the best distance so far
@@ -458,16 +455,17 @@ def best_approximation(
     of more than MAX_DIM amplitudes is refused with ``CapacityError``; the
     budget is read once, at the first level the search expands.
 
-    Expanded levels are shared with earlier searches on the same gate
-    matrices and radius (see the module docstring). ``expansions`` counts the
-    products the search evaluated, whether they were built in this call or
-    before.
+    The net radius is max(r, 1e-6) for r = ``config.DEFAULT_NET_RADIUS``, read
+    once, as the search starts. Expanded levels are shared with earlier
+    searches on the same gate matrices and radius (see the module docstring).
+    ``expansions`` counts the products the search evaluated, whether they
+    were built in this call or before.
 
     With ``epsilon`` set, the search stops after the first level at which the
     best distance so far reaches epsilon (finishing that level, so the result
     is the shortest such sequence). A result still above epsilon certifies
-    failure only up to the net's resolution: no product of length ≤ L, the
-    last length evaluated, is closer than its distance minus (L − 1)·r.
+    failure only up to the net's radius: no product of length ≤ L, the last
+    length evaluated, is closer than its distance minus (L − 1)·max(r, 1e-6).
     """
     if not target.is_unitary:
         raise ContractError("approximation target must be unitary")
@@ -477,7 +475,7 @@ def best_approximation(
         raise ContractError(f"max_len must be at least 1, got {max_len}")
     if epsilon is not None:
         _require_positive_finite("epsilon", epsilon)
-    radius = config.DEFAULT_NET_RADIUS if net_radius is None else float(net_radius)
+    radius = config.DEFAULT_NET_RADIUS
     _require_positive_finite("net radius", radius)
 
     dim, n = g.dim, g.n

@@ -94,11 +94,11 @@ class ProgramRegistry:
         raise ContractError(f"no segment named {name!r}")
 
 
-def encode_tape(registry: ProgramRegistry, head: int = 0) -> Tape:
+def encode_tape(registry: ProgramRegistry) -> Tape:
     """Lay the registry's segments onto one tape, each followed by a separator."""
     if not registry._layout:
         raise ContractError("cannot encode an empty registry onto a tape")
-    return Tape(registry.gate_set.n, registry._layout, head)
+    return Tape(registry.gate_set.n, registry._layout)
 
 
 def _encodes(t: Tape, registry: ProgramRegistry) -> bool:
@@ -226,9 +226,9 @@ class Automaton:
             )
 
     @classmethod
-    def from_registry(cls, registry: ProgramRegistry, generation: int = 0) -> "Automaton":
+    def from_registry(cls, registry: ProgramRegistry) -> "Automaton":
         t = encode_tape(registry)
-        return cls(t, translate(t, registry), registry, generation)
+        return cls(t, translate(t, registry), registry)
 
 
 def replicate(parent: Automaton) -> tuple[Automaton, Automaton]:

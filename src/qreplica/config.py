@@ -34,8 +34,8 @@ PROGRAM_DECODE_TOL = 1e-9
 # An automaton's payload must match its tape's translation to this.
 TRANSLATED_TOL = 1e-9
 
-# Two partial products closer than this merge during approximation search;
-# this is the documented completeness resolution of the search.
+# Partial products within max(this, 1e-6) of each other merge during an
+# approximation search: the documented completeness resolution of the search.
 DEFAULT_NET_RADIUS = 1e-3
 
 # Dense states are capped at this many amplitudes unless overridden.

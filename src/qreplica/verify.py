@@ -207,6 +207,8 @@ def criterion_approximation(rng: np.random.Generator) -> CriterionResult:
     max_oracle_gap = 0.0
     for target, exhaustive in zip(targets, _exhaustive_best_distances(targets, g, 6)):
         profile = best_approximation(target, g, 12).profile
+        # A search stops at a level that keeps nothing; its last entry is its best at every longer length.
+        profile += profile[-1:] * (13 - len(profile))
         min_improvement = min(min_improvement, profile[4] - profile[12])
         for pruned, enumerated in zip(profile[1:7], exhaustive[1:]):
             max_oracle_gap = max(max_oracle_gap, abs(pruned - enumerated))

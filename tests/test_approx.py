@@ -232,12 +232,13 @@ class TestApproximate:
     @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
     def test_search_inputs_must_be_positive_and_finite(self, bad):
         g = default_gate_set()
-        with pytest.raises(ContractError, match="net radius"):
-            best_approximation(X, g, 4, net_radius=bad)
         with pytest.raises(ContractError, match="epsilon"):
             best_approximation(X, g, 4, epsilon=bad)
-        with pytest.raises(ContractError, match="net radius"):
-            best_approximation(X, g, 4, epsilon=0.1, net_radius=bad)
+        with config.overridden([("DEFAULT_NET_RADIUS", bad)]):
+            with pytest.raises(ContractError, match="net radius"):
+                best_approximation(X, g, 4)
+            with pytest.raises(ContractError, match="net radius"):
+                best_approximation(X, g, 4, epsilon=0.1)
 
     def test_tape_round_trip(self):
         g = default_gate_set()

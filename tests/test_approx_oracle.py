@@ -35,13 +35,14 @@ from qreplica.linalg import Operator, random_unitary
 from gate_products import gate_product, rotation_y
 
 
-def linear_scan_search(target, g, max_len, *, epsilon=None, net_radius=None):
+def linear_scan_search(target, g, max_len, *, epsilon=None):
     """Return (symbols, achieved_distance, expansions, profile) of the best product."""
-    radius = config.DEFAULT_NET_RADIUS if net_radius is None else float(net_radius)
+    radius = config.DEFAULT_NET_RADIUS
     dim = g.dim
     gate_mats = [gate.entries for gate in g.gates]
     target_flat = target.entries.reshape(-1)
-    threshold = dim * (1.0 - radius * radius)
+    # Products within max(r, 1e-6) merge, as in the net.
+    threshold = dim * (1.0 - max(radius * radius, 1e-12))
 
     def distance_of(flat):
         overlap = abs(np.vdot(flat, target_flat)) / dim
@@ -87,9 +88,11 @@ T = Operator(np.diag([1.0, np.exp(0.25j * np.pi)]))
 MAX_LEN = {(2, 2): 9, (2, 3): 6, (3, 2): 7, (3, 3): 5, (4, 2): 7, (4, 3): 5}
 
 
-def assert_same_search(target, g, max_len, **kwargs):
-    symbols, distance, expansions, profile = linear_scan_search(target, g, max_len, **kwargs)
-    result = best_approximation(target, g, max_len, **kwargs)
+def assert_same_search(target, g, max_len, *, radius=None, **kwargs):
+    """Both searches at ``radius``, or at DEFAULT_NET_RADIUS if it is None."""
+    with config.overridden([] if radius is None else [("DEFAULT_NET_RADIUS", radius)]):
+        symbols, distance, expansions, profile = linear_scan_search(target, g, max_len, **kwargs)
+        result = best_approximation(target, g, max_len, **kwargs)
     assert result.symbols == symbols
     assert result.expansions == expansions
     assert result.achieved_distance.hex() == distance.hex()
@@ -108,14 +111,14 @@ def test_matches_linear_scan_on_random_gates(dim, n_gates, radius, epsilon, seed
     rng = np.random.default_rng(seed)
     g = GateSet(tuple(random_unitary(dim, rng) for _ in range(n_gates)))
     target = random_unitary(dim, rng)
-    assert_same_search(target, g, MAX_LEN[dim, n_gates], epsilon=epsilon, net_radius=radius)
+    assert_same_search(target, g, MAX_LEN[dim, n_gates], epsilon=epsilon, radius=radius)
 
 
 @settings(max_examples=10)
 @given(radius=st.sampled_from([1e-3, 0.05, 0.2]), seed=st.integers(0, 2**32 - 1))
 def test_matches_linear_scan_on_default_gates(radius, seed):
     target = random_unitary(2, np.random.default_rng(seed))
-    assert_same_search(target, default_gate_set(), 10, net_radius=radius)
+    assert_same_search(target, default_gate_set(), 10, radius=radius)
 
 
 @pytest.mark.parametrize(
@@ -129,7 +132,7 @@ def test_matches_linear_scan_on_default_gates(radius, seed):
 )
 @pytest.mark.parametrize("target", [X, H, T])
 def test_matches_linear_scan_on_clifford_t(gates, radius, target):
-    assert_same_search(target, GateSet(gates), 9 if len(gates) == 2 else 6, net_radius=radius)
+    assert_same_search(target, GateSet(gates), 9 if len(gates) == 2 else 6, radius=radius)
 
 
 def test_level_best_is_chosen_by_exact_distance():
@@ -172,7 +175,7 @@ def test_matches_linear_scan_on_1x1_gates(phases, radius):
     whole first level and the search ends with an empty frontier."""
     g = GateSet(tuple(Operator(np.array([[np.exp(1j * p)]])) for p in phases))
     for target in (Operator(np.array([[1.0 + 0j]])), Operator(np.array([[np.exp(2.5j)]]))):
-        assert_same_search(target, g, 4, net_radius=radius)
+        assert_same_search(target, g, 4, radius=radius)
 
 
 def first_length_that_improves(target, g, lengths):
@@ -286,7 +289,8 @@ def test_each_level_is_built_with_the_per_product_bits(dim, n_gates, clifford_t,
     _forget_levels()
     with pytest.MonkeyPatch.context() as patch:
         calls = spy_on_admit(patch)
-        best_approximation(target, g, max_len, net_radius=radius)
+        with config.overridden([("DEFAULT_NET_RADIUS", radius)]):
+            best_approximation(target, g, max_len)
     # The root and every level but the last, unless a level kept nothing.
     assert len(calls) == max_len or not len(calls[-1][1])
     for (flats, kept), (level, _) in zip(calls, calls[1:]):
@@ -345,7 +349,8 @@ def test_no_product_beats_the_result_by_more_than_the_merges_allow(seed, max_len
     evaluated, so no product of length ≤ L is closer to the target than the
     achieved distance minus (L − 1)·r. Checked against all of them."""
     target, g = random_unitary(2, np.random.default_rng(seed)), default_gate_set()
-    result = best_approximation(target, g, max_len, net_radius=radius)
+    with config.overridden([("DEFAULT_NET_RADIUS", radius)]):
+        result = best_approximation(target, g, max_len)
     evaluated = len(result.profile) - 1
     gates = np.stack([gate.entries for gate in g.gates])
     level = np.eye(2, dtype=complex)[None]
@@ -379,8 +384,9 @@ def test_permuting_the_gates_permutes_the_result(seed, n_gates, max_len, data):
     perm = data.draw(st.permutations(range(n_gates)))
     permuted = GateSet(tuple(g.gates[p] for p in perm))
 
-    plain = best_approximation(target, g, max_len, net_radius=1e-9)
-    other = best_approximation(target, permuted, max_len, net_radius=1e-9)
+    with config.overridden([("DEFAULT_NET_RADIUS", 1e-9)]):
+        plain = best_approximation(target, g, max_len)
+        other = best_approximation(target, permuted, max_len)
     assert plain.expansions == other.expansions == sum(n_gates**k for k in range(max_len + 1))
     assert np.max(np.abs(np.subtract(other.profile, plain.profile))) <= TURNED_TOL
     mapped = tuple(perm[s] for s in other.symbols)

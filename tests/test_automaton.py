@@ -440,8 +440,8 @@ def registries_and_heads(draw):
 @given(registries_and_heads(), st.integers(0, 5))
 def test_replication_preserves_heredity(registry_and_head, generation):
     registry, head = registry_and_head
-    start = Automaton.from_registry(registry, generation)
-    start = dataclasses.replace(start, tape=encode_tape(registry, head))
+    start = Automaton.from_registry(registry)
+    start = dataclasses.replace(start, tape=dataclasses.replace(start.tape, head=head), generation=generation)
     parent, child = replicate(start)
     assert parent is start
     assert child.tape == parent.tape

@@ -349,8 +349,8 @@ class TestApprox:
 
     def test_the_merge_radius_is_set_as_a_tolerance_and_reported_as_in_force(self, capsys, x_target_file):
         """--net-radius is refused; --set-tolerance DEFAULT_NET_RADIUS=R searches
-        at R, as the library's net_radius=R does, and the report's net_radius is
-        its snapshot's."""
+        at R, as a library search under that tolerance does, and the report's
+        net_radius is its snapshot's."""
         argv = ["approx", "--target", x_target_file, "--epsilon", "1e-3", "--max-len", "10"]
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--net-radius", "0.05"])
@@ -363,7 +363,8 @@ class TestApprox:
             assert code == 0
             assert report["net_radius"] == report["tolerances"]["DEFAULT_NET_RADIUS"]
             assert report["net_radius"] == (config.DEFAULT_NET_RADIUS if radius is None else radius)
-            expected = approx.best_approximation(x, gates, 10, epsilon=1e-3, net_radius=radius)
+            with config.overridden([] if radius is None else [("DEFAULT_NET_RADIUS", radius)]):
+                expected = approx.best_approximation(x, gates, 10, epsilon=1e-3)
             assert report["result"] == json.loads(json.dumps(approx.approx_result_to_json(expected, gates)))
 
     def test_parallel_option_is_gone_and_reports_are_deterministic(

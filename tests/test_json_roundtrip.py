@@ -7,6 +7,7 @@ Python writes each float as the shortest text that reads back to the same
 double, so nothing may be lost on the way.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -114,7 +115,7 @@ def test_registry_round_trip(registry):
 
 @given(registry=registries(min_segments=1), generation=st.integers(0, 2**63))
 def test_automaton_round_trip(registry, generation):
-    automaton = Automaton.from_registry(registry, generation)
+    automaton = dataclasses.replace(Automaton.from_registry(registry), generation=generation)
     back = automaton_from_json(through_text(automaton_to_json(automaton)))
     assert back.tape == automaton.tape
     assert back.generation == automaton.generation

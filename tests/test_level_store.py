@@ -99,16 +99,14 @@ def test_a_warm_search_returns_the_cold_result(name):
     make, radius, searches = SCENARIOS[name]
     g = make()
     colds, cold_builds = [], []
-    for target, max_len, kwargs in searches:
+    with config.overridden([("DEFAULT_NET_RADIUS", radius)]):
+        for target, max_len, kwargs in searches:
+            with counting_builds() as builds:
+                colds.append(cold(g, target, max_len, **kwargs))
+            cold_builds.append(builds.call_count)
+        approx._forget_levels()
         with counting_builds() as builds:
-            colds.append(cold(g, target, max_len, net_radius=radius, **kwargs))
-        cold_builds.append(builds.call_count)
-    approx._forget_levels()
-    with counting_builds() as builds:
-        warms = [
-            outcome(best_approximation(target, g, max_len, net_radius=radius, **kwargs))
-            for target, max_len, kwargs in searches
-        ]
+            warms = [outcome(best_approximation(target, g, max_len, **kwargs)) for target, max_len, kwargs in searches]
     assert warms == colds
     # Each level is built once, by the first search that expands it.
     assert builds.call_count == max(cold_builds) < sum(cold_builds)
@@ -132,7 +130,8 @@ def test_searching_another_gate_set_releases_the_levels_of_the_first():
     assert first() is None and net() is None
     # Another radius is another entry too.
     held = weakref.ref(approx._levels)
-    best_approximation(X, golden_rotations(), 4, net_radius=0.05)
+    with config.overridden([("DEFAULT_NET_RADIUS", 0.05)]):
+        best_approximation(X, golden_rotations(), 4)
     gc.collect()
     assert held() is None
 

@@ -70,3 +70,14 @@ def test_an_override_moves_the_verdict_its_snapshot_prints(capsys):
     assert code == 1
     assert header["tolerances"]["NO_CLONE_GAP"] == 0.5
     assert [r["criterion"] for r in criteria if not r["passed"]] == [2]
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0])
+def test_a_search_that_stops_early_fails_criterion_6_without_raising(radius):
+    """At these radii a level of the default-gate search keeps nothing before
+    length 12, so the search stops and its profile is short; criterion 6 reads
+    its last entry at every longer length and fails rather than raising."""
+    with config.overridden([("DEFAULT_NET_RADIUS", radius)]):
+        result = CRITERIA[6]()
+    assert not result.passed
+    assert result.details["min_improvement_4_to_12"] == 0.0

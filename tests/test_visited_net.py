@@ -26,7 +26,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qreplica import approx
+from qreplica import approx, config
 from qreplica.approx import _EXACT_MARGIN, GateSet, _VisitedNet, best_approximation, default_gate_set
 from qreplica.linalg import Operator, random_unitary
 
@@ -359,26 +359,50 @@ def test_the_unfiltered_probe_covers_duplicate_keys_and_multi_key_runs(radius):
     assert net.seen["duplicate keys"] and net.seen["multi-key runs"] and net.seen["most blocks"] > 1
 
 
-def test_a_deep_search_expands_few_pairs_per_admitted_product():
-    """At the default radius almost every probed run holds only the query's
-    own key; such runs are dropped before their pairs are expanded."""
-    admitted = []
+def counted(search):
+    """The products each ``admit`` of ``search()`` is given and keeps, and the
+    pairs each block of its probed runs expands (one np.repeat per block)."""
+    admitted, kept = [], []
     admit = _VisitedNet.admit
 
     def counting_admit(net, flats):
         admitted.append(len(flats))
-        return admit(net, flats)
+        fresh = admit(net, flats)
+        kept.append(len(fresh))
+        return fresh
 
-    target = random_unitary(2, np.random.default_rng(3))
     with mock.patch.object(_VisitedNet, "admit", counting_admit), mock.patch.object(
         np, "repeat", wraps=np.repeat
     ) as repeats:
-        best_approximation(target, default_gate_set(), 14)
-    expanded = sum(int(np.sum(call.args[1])) for call in repeats.call_args_list)
+        search()
+    return admitted, kept, [int(np.sum(call.args[1])) for call in repeats.call_args_list]
+
+
+def test_a_deep_search_expands_few_pairs_per_admitted_product():
+    """At the default radius almost every probed run holds only the query's
+    own key; such runs are dropped before their pairs are expanded."""
+    target = random_unitary(2, np.random.default_rng(3))
+    admitted, _, expanded = counted(lambda: best_approximation(target, default_gate_set(), 14))
     assert sum(admitted) > 16_000
-    assert expanded < 0.1 * sum(admitted)
+    assert sum(expanded) < 0.1 * sum(admitted)
     # Each level's pairs fit one block: one np.repeat per admit at most.
-    assert repeats.call_count <= len(admitted)
+    assert len(expanded) <= len(admitted)
+
+
+@pytest.mark.parametrize("radius", [1e-12, 1e-9, 1e-8, 3e-8, 1e-6, 1e-3])
+def test_coincident_products_merge_at_every_radius(radius):
+    """Products of H and T that are equal in exact arithmetic (H·H = I,
+    T⁸ = I, ...) lie ~1e-8 apart after rounding, and the net merges them at
+    any radius: a length-13 search keeps 494 products and expands 2.24 pairs
+    per admitted one at each radius. Merging only within the radius kept all
+    8,191 at r ≤ 1e-9, each paired with every earlier one in its grid cell:
+    121 pairs per admitted product."""
+    g = GateSet((Operator(H), Operator(T)))
+    target = random_unitary(2, np.random.default_rng(3))
+    with config.overridden([("DEFAULT_NET_RADIUS", radius)]):
+        admitted, kept, expanded = counted(lambda: best_approximation(target, g, 13))
+    assert sum(kept) == 494
+    assert sum(expanded) <= 4 * sum(admitted)
 
 
 @settings(max_examples=40)
@@ -510,6 +534,7 @@ def test_a_coarse_search_compares_pairs_a_row_block_at_a_time():
     of 32,768 pairs peaked at 57 times."""
     g = GateSet(tuple(random_unitary(4, np.random.default_rng(seed)) for seed in (100, 101)))
     target = random_unitary(4, np.random.default_rng(5))
-    peak, kept = traced_peak_and_kept_bytes(lambda: best_approximation(target, g, 10, net_radius=0.05))
+    with config.overridden([("DEFAULT_NET_RADIUS", 0.05)]):
+        peak, kept = traced_peak_and_kept_bytes(lambda: best_approximation(target, g, 10))
     assert kept > 1_000 * 16 * np.dtype(complex).itemsize
     assert peak < 8 * kept
